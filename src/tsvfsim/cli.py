@@ -61,6 +61,7 @@ from .tsvf import (
     ArmProjector,
     DegeneratePostselection,
     ProjectorChain,
+    TwoStateSweep,
     sequential_weak_value,
     weak_value,
 )
@@ -183,6 +184,16 @@ def build_experiment(layout, meter_specs: list[MeterSpec]):
     return exp
 
 
+def check_reference(layout, arm: str, slice_index: int, what: str):
+    """Reject an ``arm@slice`` reference that is not on the layout."""
+    if not 0 <= slice_index < layout.n_slices:
+        raise CliError(
+            f"{what}: slice {slice_index} is out of range (0..{layout.final_slice})"
+        )
+    if arm not in layout.slices[slice_index]:
+        raise CliError(f"{what}: arm {arm!r} is not on slice {slice_index}")
+
+
 def pick_port(layout, requested: str | None) -> str:
     if requested is not None:
         if requested not in layout.ports:
@@ -203,11 +214,12 @@ def pick_port(layout, requested: str | None) -> str:
 
 def cmd_weak_values(layout, port):
     columns = ("kind", "arm", "slice", "re", "im", "pass")
+    sweep = TwoStateSweep.build(layout, port)
     rows = []
     for k in range(layout.n_slices):
         total = 0.0 + 0.0j
         for arm in layout.slices[k]:
-            value = weak_value(layout, port, ArmProjector(arm, k)).value
+            value = sweep.weak_value(ArmProjector(arm, k)).value
             total += value
             rows.append({"kind": "value", "arm": arm, "slice": k,
                          "re": value.real, "im": value.imag, "pass": None})
@@ -219,22 +231,26 @@ def cmd_weak_values(layout, port):
 
 def cmd_sequential(layout, port, chain_specs: list[tuple[tuple[str, int], ...]]):
     columns = ("kind", "chain", "re", "im", "pass")
+    sweep = TwoStateSweep.build(layout, port)
     declared: dict[tuple[tuple[str, int], ...], complex] = {}
     rows = []
     for steps in chain_specs:
         if steps in declared:
             continue
+        what = f"chain {_chain_label(steps)}"
+        for arm, k in steps:
+            check_reference(layout, arm, k, what)
         try:
             chain = ProjectorChain.of(*steps)
         except ValueError as exc:
-            raise CliError(f"chain {_chain_label(steps)}: {exc}") from exc
-        declared[steps] = sequential_weak_value(layout, port, chain).value
+            raise CliError(f"{what}: {exc}") from exc
+        declared[steps] = sweep.sequential_weak_value(chain).value
     for steps, value in declared.items():
         rows.append({"kind": "value", "chain": _chain_label(steps),
                      "re": value.real, "im": value.imag, "pass": None})
     # Marginal checks: wherever the declared chains differ only in the arm
-    # at one slot and jointly cover every arm of that slice, their sum must
-    # equal the chain with that slot removed.
+    # at one slot, all on the same slice, and jointly cover every arm of
+    # that slice, their sum must equal the chain with that slot removed.
     seen_templates = set()
     for steps in declared:
         for i, (_, slice_index) in enumerate(steps):
@@ -243,16 +259,16 @@ def cmd_sequential(layout, port, chain_specs: list[tuple[tuple[str, int], ...]])
                 continue
             seen_templates.add(template)
             group = [s for s in declared
-                     if s[:i] == template[0] and s[i + 1:] == template[2]
-                     and len(s) == len(steps)]
+                     if len(s) == len(steps) and s[:i] == template[0]
+                     and s[i][1] == slice_index and s[i + 1:] == template[2]]
             arms = {s[i][0] for s in group}
             if arms != set(layout.slices[slice_index]):
                 continue
             total = sum(declared[s] for s in group)
             reduced = steps[:i] + steps[i + 1:]
             if reduced:
-                reference = sequential_weak_value(
-                    layout, port, ProjectorChain.of(*reduced)
+                reference = sweep.sequential_weak_value(
+                    ProjectorChain.of(*reduced)
                 ).value
             else:
                 reference = 1.0 + 0.0j
@@ -317,6 +333,8 @@ def cmd_meter_sweep(layout, port, meters: list[MeterSpec], sweep: tuple[float, .
         raise CliError(f"meter-sweep needs at least 4 sweep points, got {len(sweep)}")
     if not meters:
         raise CliError("meter-sweep needs at least one --meter")
+    for m in meters:
+        check_reference(layout, m.arm, m.slice_index, f"meter {m.label()}")
     columns = ("kind", "g", "single_re", "single_im", "single_err",
                "seq_re", "seq_im", "seq_err", "pass")
     first = meters[0]

@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 ZERO_PROBABILITY_TOL = 1e-300
+"""Bound on the postselection probability, a squared norm summed over
+pointer terms: :func:`postselect` raises :class:`ZeroProbability` below it.
+Unlike ``tsvf.POSTSELECTION_TOL`` (1e-12 on an amplitude, 1e-24 on a
+probability) it only guards the division by zero."""
 
 
 class ZeroProbability(ValueError):

@@ -27,6 +27,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -142,6 +143,10 @@ class NetworkLayout:
 
     ``slices`` is an ordered tuple of arm tuples; ``detector_ports`` maps
     port names to arms of the final slice (stored as ordered pairs).
+
+    Each layout object assembles a stage matrix the first time
+    :func:`stage_unitary` asks for it and keeps it, read-only, for its own
+    lifetime; equal layouts built separately do not share matrices.
     """
 
     slices: tuple[tuple[str, ...], ...]
@@ -175,6 +180,10 @@ class NetworkLayout:
     @property
     def ports(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.detector_ports)
+
+    @cached_property
+    def _stage_matrices(self) -> list[np.ndarray | None]:
+        return [None] * len(self.stages)
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,15 +305,19 @@ def validate_network(layout: NetworkLayout) -> list[str]:
 
 
 def stage_unitary(layout: NetworkLayout, stage_index: int) -> np.ndarray:
-    """Assemble the stage matrix mapping slice k amplitudes to slice k+1.
+    """The stage matrix mapping slice k amplitudes to slice k+1.
 
     Rows follow ``layout.slices[k + 1]``, columns ``layout.slices[k]``.  The
     matrix is square when both slices hold the same number of arms and a
     tall isometry when a beamsplitter feeds from a single (vacuum-padded)
-    input.
+    input.  It is assembled once per layout object and returned read-only
+    on every later call.
     """
     if not 0 <= stage_index < len(layout.stages):
         raise ValueError(f"invalid stage index {stage_index}")
+    cached = layout._stage_matrices[stage_index]
+    if cached is not None:
+        return cached
     stage = layout.stages[stage_index]
     ins = layout.slices[stage_index]
     outs = layout.slices[stage_index + 1]
@@ -321,6 +334,8 @@ def stage_unitary(layout: NetworkLayout, stage_index: int) -> np.ndarray:
                 u[outs.index(out_arm), ins.index(in_arm)] = block[r, c]
     for arm in stage.pass_through:
         u[outs.index(arm), ins.index(arm)] = 1.0
+    u.setflags(write=False)
+    layout._stage_matrices[stage_index] = u
     return u
 
 

@@ -6,6 +6,14 @@ the detector port that fired.  Their contraction is slice-independent and
 equals the postselection amplitude; the (possibly sequential) weak value
 of arm projectors is the corresponding projected contraction divided by
 that amplitude.
+
+:class:`TwoStateSweep` holds both vectors at every slice for one (layout,
+port) pair, from one forward and one backward pass, O(slices * arms²), and
+checks the slice-independence once.  A weak value then costs O(1) and a
+projector chain one matrix-vector product per stage it spans.  Stage
+matrices are built once per layout object (see
+:func:`~tsvfsim.network.stage_unitary`).  The module-level functions build
+a sweep per call; callers reading many values build one and reuse it.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ __all__ = [
     "POSTSELECTION_TOL",
     "PathState",
     "ProjectorChain",
+    "TwoStateSweep",
     "WeakValueResult",
     "backward_state",
     "forward_state",
@@ -32,6 +41,8 @@ __all__ = [
 ]
 
 POSTSELECTION_TOL = 1e-12
+"""Bound on ``|<port|U|source>|``, an amplitude: weak values are undefined at
+or below it.  On the postselection probability this is 1e-24."""
 
 
 class DegeneratePostselection(ValueError):
@@ -98,11 +109,34 @@ class WeakValueResult:
     postselection_amplitude: complex
 
 
+def _check_slice(layout: NetworkLayout, slice_index: int):
+    if not 0 <= slice_index < layout.n_slices:
+        raise ValueError(f"invalid slice index {slice_index}")
+
+
+def _forward_kets(layout: NetworkLayout) -> list[np.ndarray]:
+    ket = np.zeros(len(layout.slices[0]), dtype=complex)
+    ket[layout.arm_index(0, layout.source)] = 1.0
+    kets = [ket]
+    for k in range(layout.final_slice):
+        kets.append(stage_unitary(layout, k) @ kets[-1])
+    return kets
+
+
+def _backward_bras(layout: NetworkLayout, port: str) -> list[np.ndarray]:
+    bra = np.zeros(len(layout.slices[-1]), dtype=complex)
+    bra[layout.arm_index(layout.final_slice, layout.port_arm(port))] = 1.0
+    bras = [bra]
+    for k in range(layout.final_slice - 1, -1, -1):
+        bras.append(stage_unitary(layout, k).T @ bras[-1])
+    return bras[::-1]
+
+
 def forward_state(layout: NetworkLayout, slice_index: int) -> PathState:
     """Source amplitude 1 propagated forward to ``slice_index``."""
-    vec = np.zeros(len(layout.slices[0]), dtype=complex)
-    vec[layout.arm_index(0, layout.source)] = 1.0
-    return propagate(PathState(0, layout.slices[0], vec), layout, slice_index)
+    _check_slice(layout, slice_index)
+    return PathState(slice_index, layout.slices[slice_index],
+                     _forward_kets(layout)[slice_index])
 
 
 def backward_state(layout: NetworkLayout, port: str, slice_index: int) -> CoState:
@@ -112,39 +146,78 @@ def backward_state(layout: NetworkLayout, port: str, slice_index: int) -> CoStat
     pulling back one stage multiplies by the stage matrix from the left
     (plain transpose, no conjugation).
     """
-    if not 0 <= slice_index < layout.n_slices:
-        raise ValueError(f"invalid slice index {slice_index}")
-    arm = layout.port_arm(port)
-    row = np.zeros(len(layout.slices[-1]), dtype=complex)
-    row[layout.arm_index(layout.final_slice, arm)] = 1.0
-    for k in range(layout.final_slice - 1, slice_index - 1, -1):
-        row = stage_unitary(layout, k).T @ row
-    return CoState(slice_index, layout.slices[slice_index], row)
+    _check_slice(layout, slice_index)
+    return CoState(slice_index, layout.slices[slice_index],
+                   _backward_bras(layout, port)[slice_index])
 
 
-def _contraction(layout: NetworkLayout, port: str, slice_index: int) -> complex:
-    fwd = forward_state(layout, slice_index)
-    bwd = backward_state(layout, port, slice_index)
-    return complex(bwd.components @ fwd.amplitudes)
+@dataclass(frozen=True, eq=False)
+class TwoStateSweep:
+    """Forward kets and backward bras at every slice for one (layout, port).
+
+    ``kets[k]`` and ``bras[k]`` are the amplitudes of :func:`forward_state`
+    and the components of :func:`backward_state` at slice ``k``;
+    ``amplitude`` is their contraction, ``<port| U |source>``.
+    """
+
+    layout: NetworkLayout
+    port: str
+    kets: tuple[np.ndarray, ...]
+    bras: tuple[np.ndarray, ...]
+    amplitude: complex
+
+    @classmethod
+    def build(cls, layout: NetworkLayout, port: str) -> "TwoStateSweep":
+        """One forward and one backward pass; asserts slice-independence."""
+        kets = _forward_kets(layout)
+        bras = _backward_bras(layout, port)
+        values = [complex(bra @ ket) for ket, bra in zip(kets, bras)]
+        spread = max(abs(v - values[0]) for v in values)
+        if spread > 1e-12:
+            raise RuntimeError(f"two-state contraction drifts across slices ({spread:.3e})")
+        return cls(layout, port, tuple(kets), tuple(bras), values[0])
+
+    def _checked_amplitude(self) -> complex:
+        if abs(self.amplitude) <= POSTSELECTION_TOL:
+            raise DegeneratePostselection(
+                f"port {self.port!r} has postselection amplitude "
+                f"{abs(self.amplitude):.3e}; weak values are undefined"
+            )
+        return self.amplitude
+
+    def weak_value(self, projector: ArmProjector) -> WeakValueResult:
+        """See :func:`weak_value`."""
+        amp = self._checked_amplitude()
+        k = projector.slice_index
+        _check_slice(self.layout, k)
+        idx = self.layout.arm_index(k, projector.arm)
+        numerator = complex(self.bras[k][idx] * self.kets[k][idx])
+        return WeakValueResult(numerator / amp, numerator, amp)
+
+    def sequential_weak_value(self, chain: ProjectorChain) -> WeakValueResult:
+        """See :func:`sequential_weak_value`."""
+        amp = self._checked_amplitude()
+        current = chain.projectors[0].slice_index
+        _check_slice(self.layout, current)
+        vec = self.kets[current]
+        for proj in chain.projectors:
+            if proj.slice_index != current:
+                vec = propagate(
+                    PathState(current, self.layout.slices[current], vec), self.layout,
+                    proj.slice_index,
+                ).amplitudes
+                current = proj.slice_index
+            keep = self.layout.arm_index(current, proj.arm)
+            mask = np.zeros_like(vec)
+            mask[keep] = vec[keep]
+            vec = mask
+        numerator = complex(self.bras[current] @ vec)
+        return WeakValueResult(numerator / amp, numerator, amp)
 
 
 def postselection_amplitude(layout: NetworkLayout, port: str) -> complex:
     """Amplitude ``<port| U |source>``; asserts slice-independence."""
-    values = [_contraction(layout, port, k) for k in range(layout.n_slices)]
-    spread = max(abs(v - values[0]) for v in values)
-    if spread > 1e-12:
-        raise RuntimeError(f"two-state contraction drifts across slices ({spread:.3e})")
-    return values[0]
-
-
-def _checked_amplitude(layout: NetworkLayout, port: str) -> complex:
-    amp = postselection_amplitude(layout, port)
-    if abs(amp) <= POSTSELECTION_TOL:
-        raise DegeneratePostselection(
-            f"port {port!r} has postselection amplitude {abs(amp):.3e}; "
-            "weak values are undefined"
-        )
-    return amp
+    return TwoStateSweep.build(layout, port).amplitude
 
 
 def weak_value(layout: NetworkLayout, port: str, projector: ArmProjector) -> WeakValueResult:
@@ -167,14 +240,9 @@ def weak_value(layout: NetworkLayout, port: str, projector: ArmProjector) -> Wea
     Raises
     ------
     DegeneratePostselection
-        If ``|<phi|psi>| <= 1e-12``.
+        If ``|<phi|psi>| <= POSTSELECTION_TOL``.
     """
-    amp = _checked_amplitude(layout, port)
-    fwd = forward_state(layout, projector.slice_index)
-    bwd = backward_state(layout, port, projector.slice_index)
-    idx = layout.arm_index(projector.slice_index, projector.arm)
-    numerator = complex(bwd.components[idx] * fwd.amplitudes[idx])
-    return WeakValueResult(numerator / amp, numerator, amp)
+    return TwoStateSweep.build(layout, port).weak_value(projector)
 
 
 def sequential_weak_value(
@@ -188,22 +256,4 @@ def sequential_weak_value(
     postselection amplitude.  A single-projector chain reduces to
     :func:`weak_value`.
     """
-    amp = _checked_amplitude(layout, port)
-    first = chain.projectors[0]
-    state = forward_state(layout, first.slice_index)
-    vec = state.amplitudes.copy()
-    current = first.slice_index
-    for proj in chain.projectors:
-        if proj.slice_index != current:
-            vec = propagate(
-                PathState(current, layout.slices[current], vec), layout,
-                proj.slice_index,
-            ).amplitudes
-            current = proj.slice_index
-        keep = layout.arm_index(current, proj.arm)
-        mask = np.zeros_like(vec)
-        mask[keep] = vec[keep]
-        vec = mask
-    bwd = backward_state(layout, port, current)
-    numerator = complex(bwd.components @ vec)
-    return WeakValueResult(numerator / amp, numerator, amp)
+    return TwoStateSweep.build(layout, port).sequential_weak_value(chain)

@@ -6,15 +6,19 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tsvfsim.cli import (
     main,
+    cmd_sequential,
+    cmd_weak_values,
     parse_chain_spec,
     parse_meter_spec,
     parse_sweep_spec,
     CliError,
 )
+from tsvfsim.network import ComponentSpec, NetworkLayout, Stage, beamsplitter
 
 
 def run_cli(*argv, capsys=None):
@@ -88,6 +92,32 @@ def test_sequential_with_marginal_check(capsys):
     assert values["C@2>E@3"] == pytest.approx(-0.5, abs=1e-12)
     checks = [r for r in rows if r["kind"] == "check"]
     assert any(r["chain"] == "*@2>E@3" and r["pass"] == "true" for r in checks)
+
+
+def test_sequential_marginal_groups_chains_by_slice(capsys):
+    # N@2>N@3 has the same suffix as the slice-1 chains but must not join
+    # their group: the slice-1 arms N and D sum to the N@3 weak value, 1.
+    code, out, _ = run_cli(
+        "sequential",
+        "--chain", "N@1,N@3", "--chain", "N@2,N@3", "--chain", "D@1,N@3",
+        capsys=capsys,
+    )
+    assert code == 0
+    checks = {r["chain"]: r for r in rows_of(out) if r["kind"] == "check"}
+    assert set(checks) == {"*@1>N@3"}
+    assert float(checks["*@1>N@3"]["re"]) == pytest.approx(1.0, abs=1e-12)
+    assert checks["*@1>N@3"]["pass"] == "true"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sequential", "--chain", "Z@2,E@3"),
+    ("sequential", "--chain", "B@9"),
+    ("meter-sweep", "--meter", "Z@2"),
+])
+def test_unknown_arm_or_slice_reference_exits_2(argv, capsys):
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_sequential_no_marginal_without_coverage(capsys):
@@ -202,6 +232,85 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("kind,arm,slice")
+
+
+def _layered(n_arms, n_slices, seed):
+    """Random layered layout plus each stage's matrix, built independently
+    of ``stage_unitary`` from the same angles and phases."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    arms = tuple(f"a{i}" for i in range(n_arms))
+    stages, dense = [], []
+    for k in range(n_slices - 1):
+        order = rng.permutation(n_arms)
+        u = np.zeros((n_arms, n_arms), dtype=complex)
+        comps = []
+        for i in range(0, n_arms, 2):
+            a, b = int(order[i]), int(order[i + 1])
+            theta = float(rng.uniform(0.2, 1.3))
+            phase = float(rng.uniform(0.0, 2 * np.pi))
+            pair = (arms[a], arms[b])
+            comps.append(beamsplitter(f"BS{k}_{i // 2}", pair, pair, theta, phase))
+            g = np.exp(1j * phase)
+            u[a, a] = u[b, b] = g * np.cos(theta)
+            u[a, b] = u[b, a] = 1j * g * np.sin(theta)
+        stages.append(Stage(k, tuple(comps)))
+        dense.append(u)
+    layout = NetworkLayout(
+        slices=(arms,) * n_slices,
+        stages=tuple(stages),
+        source=arms[0],
+        detector_ports=tuple((f"P{a}", a) for a in arms),
+    )
+    return layout, dense
+
+
+def test_tables_build_each_stage_matrix_once(monkeypatch):
+    n_arms, n_slices, seed = 28, 31, 11
+    built = []
+    block = ComponentSpec.block
+
+    def counting_block(self):
+        built.append(id(self))
+        return block(self)
+
+    monkeypatch.setattr(ComponentSpec, "block", counting_block)
+    layout, dense = _layered(n_arms, n_slices, seed)
+    kets = [np.eye(n_arms, dtype=complex)[0]]
+    for u in dense:
+        kets.append(u @ kets[-1])
+    port_index = int(np.argmax(np.abs(kets[-1])))
+    port = f"Pa{port_index}"
+    bras = [np.eye(n_arms, dtype=complex)[port_index]]
+    for u in reversed(dense):
+        bras.append(bras[-1] @ u)
+    bras.reverse()
+    amp = bras[0] @ kets[0]
+    per_table = (n_slices - 1) * n_arms // 2
+
+    _, rows, _ = cmd_weak_values(layout, port)
+    assert len(built) == len(set(built)) == per_table
+    for row in rows:
+        if row["kind"] == "check":
+            assert row["pass"]
+            continue
+        k = row["slice"]
+        i = layout.arm_index(k, row["arm"])
+        got = complex(row["re"], row["im"])
+        assert abs(got - bras[k][i] * kets[k][i] / amp) < 1e-12
+
+    built.clear()
+    layout, _ = _layered(n_arms, n_slices, seed)
+    chains = [((a, 1), (b, 2)) for a in layout.slices[1] for b in layout.slices[2]]
+    _, rows, _ = cmd_sequential(layout, port, chains)
+    assert len(built) == len(set(built)) == per_table
+    checks = [row for row in rows if row["kind"] == "check"]
+    assert len(checks) == 2 * n_arms and all(row["pass"] for row in checks)
+    values = [row for row in rows if row["kind"] == "value"]
+    assert len(values) == n_arms ** 2
+    for row, ((a, _), (b, _)) in zip(values, chains):
+        ia, ib = layout.arm_index(1, a), layout.arm_index(2, b)
+        want = bras[2][ib] * dense[1][ib, ia] * kets[1][ia] / amp
+        assert abs(complex(row["re"], row["im"]) - want) < 1e-12
 
 
 DARK_MZI = """

@@ -64,6 +64,15 @@ def test_preset_stage_matrices_match_hand_assembly(preset):
         np.testing.assert_allclose(got, expected, atol=1e-15)
 
 
+def test_stage_matrix_is_built_once_per_layout_and_read_only(preset):
+    first = stage_unitary(preset, 2)
+    assert stage_unitary(preset, 2) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    assert stage_unitary(nested_mzi_preset(), 2) is not first
+
+
 def test_stage_unitary_rejects_bad_index(preset):
     with pytest.raises(ValueError, match="invalid stage index"):
         stage_unitary(preset, 4)
