@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .meter import (
+    RegisterTooLarge,
     ZeroProbability,
     arm_probability,
     attach_meter,
@@ -56,7 +57,7 @@ from .network import (
     parse_network,
 )
 from .oracle import GridSpec, compare, default_grid, experiment_reports
-from .sampling import ReadoutPlan, estimate_from_samples, sample_readings
+from .sampling import ReadoutPlan, SamplingBudgetExceeded, estimate_from_samples, sample_readings
 from .tsvf import (
     ArmProjector,
     DegeneratePostselection,
@@ -648,10 +649,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         columns, rows, meta, fmt = run(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DegeneratePostselection, ZeroProbability) as exc:
+    except (CliError, DegeneratePostselection, ZeroProbability, RegisterTooLarge,
+            SamplingBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = [{key: _plain(value) for key, value in row.items()} for row in rows]

@@ -6,8 +6,13 @@ attached to one arm at one slice.  The coupling displaces the pointer
 position by the strength ``g`` exactly when the particle occupies the arm,
 so after the full evolution the joint state is a finite sum of terms
 ``amplitude * |arm> * product_j |pointer_j shifted by s_j>`` with every
-``s_j`` either 0 or ``g_j``.  All pointer statistics then reduce to closed
-Gaussian matrix elements between displaced copies of the initial packet.
+``s_j`` either 0 or ``g_j``.  It is held as a dense complex register of
+shape ``(arms, 2, ..., 2)``, one axis per meter, index 1 meaning that meter
+has fired: O(arms * 2^m) memory for m meters, capped by
+``MAX_REGISTER_ENTRIES``.  Every pointer moment is one contraction
+``A^H (O_0 x ... x O_{m-1}) A / P`` of a postselected register row with
+the 2x2 closed-form Gaussian elements between shifts 0 and ``g_j``,
+O(m * 2^m) per moment.
 
 The complex readout combination ``x + 2 i sigma^2 p`` annihilates the
 undisplaced packet and multiplies a displaced one by its shift, which is
@@ -28,8 +33,10 @@ __all__ = [
     "Experiment",
     "GaussianPointer",
     "JointState",
+    "MAX_REGISTER_ENTRIES",
     "MeterAttachment",
     "PointerMixture",
+    "RegisterTooLarge",
     "ZERO_PROBABILITY_TOL",
     "ZeroProbability",
     "arm_probability",
@@ -59,6 +66,15 @@ probability) it only guards the division by zero."""
 
 class ZeroProbability(ValueError):
     """Postselection probability is numerically zero."""
+
+
+MAX_REGISTER_ENTRIES = 1 << 22
+"""Largest joint register, ``arms * 2**meters`` complex entries (64 MiB);
+a bigger one raises :class:`RegisterTooLarge` before it is allocated."""
+
+
+class RegisterTooLarge(ValueError):
+    """The joint register would hold more than ``MAX_REGISTER_ENTRIES``."""
 
 
 # ----------------------------------------------------------------------
@@ -132,10 +148,7 @@ class Experiment:
     meters: tuple[MeterAttachment, ...] = ()
 
     def meter(self, meter_id: int) -> MeterAttachment:
-        for m in self.meters:
-            if m.meter_id == meter_id:
-                return m
-        raise ValueError(f"no meter with id {meter_id}")
+        return self.meters[_meter_index(self.meters, meter_id)]
 
 
 def new_experiment(layout: NetworkLayout) -> Experiment:
@@ -165,101 +178,117 @@ def attach_meter(
     return Experiment(layout, experiment.meters + (meter,))
 
 
+def _meter_index(meters: tuple[MeterAttachment, ...], meter_id: int) -> int:
+    for j, m in enumerate(meters):
+        if m.meter_id == meter_id:
+            return j
+    raise ValueError(f"no meter with id {meter_id}")
+
+
+def _nonzero(register: np.ndarray, meters: tuple[MeterAttachment, ...]):
+    """Leading index, pointer shifts (one column per meter, 0.0 or the
+    strength) and amplitude of every nonzero register entry, in C order."""
+    m = len(meters)
+    flat = register.ravel()
+    pos = np.flatnonzero(flat)
+    fired = pos[:, None] >> np.arange(m - 1, -1, -1) & 1
+    return pos >> m, fired * np.array([mt.strength for mt in meters]), flat[pos]
+
+
+def _element_matrix(element, meter: MeterAttachment) -> np.ndarray:
+    """``<phi_a|O|phi_b>`` for bra shift a and ket shift b in (0, g)."""
+    g = (0.0, meter.strength)
+    return np.array([[element(a, b, meter.sigma) for b in g] for a in g], dtype=complex)
+
+
+def _moment(register: np.ndarray, ops: list[np.ndarray]) -> complex:
+    """``A^H (1 x O_0 x ... x O_{m-1}) A`` over the trailing meter axes of A."""
+    v = register
+    for j, op in enumerate(ops):
+        v = np.matmul(op, v.reshape(-1, 2, 2 ** (len(ops) - j - 1)))
+    return complex(np.vdot(register, v))
+
+
+def _overlaps(meters: tuple[MeterAttachment, ...]) -> list[np.ndarray]:
+    return [_element_matrix(gaussian_overlap, meter) for meter in meters]
+
+
 @dataclass(frozen=True, eq=False)
 class JointState:
-    """Finite-sum representation of particle plus pointers.
+    """Dense register of particle plus pointers.
 
-    ``terms`` maps ``(arm, shifts)`` to a complex amplitude, where
-    ``shifts`` holds one entry per meter, each either 0.0 or that meter's
-    strength.  The pointer factors are displaced copies of the initial
-    Gaussians, so norms and moments reduce to the closed-form elements.
+    ``register`` has shape ``(arms, 2, ..., 2)``: axis 0 is the arm on
+    ``slice_index``, then one axis per meter, where index 1 means that
+    meter has fired (its pointer is displaced by the strength) and index 0
+    that it has not.  ``terms`` lists the nonzero entries as ``(arm,
+    shifts) -> amplitude`` with each shift 0.0 or the meter's strength.
     """
 
     slice_index: int
     experiment: Experiment
-    terms: dict[tuple[str, tuple[float, ...]], complex]
+    register: np.ndarray
 
     @property
     def meters(self) -> tuple[MeterAttachment, ...]:
         return self.experiment.meters
 
+    @property
+    def terms(self) -> dict[tuple[str, tuple[float, ...]], complex]:
+        arms = self.experiment.layout.slices[self.slice_index]
+        rows, shifts, amps = _nonzero(self.register, self.meters)
+        return {(arms[i], tuple(s)): a
+                for i, s, a in zip(rows.tolist(), shifts.tolist(), amps.tolist())}
+
     def norm(self) -> float:
-        total = 0.0
-        by_arm: dict[str, list[tuple[tuple[float, ...], complex]]] = {}
-        for (arm, shifts), amp in self.terms.items():
-            by_arm.setdefault(arm, []).append((shifts, amp))
-        for entries in by_arm.values():
-            total += _pair_sum(entries, self.meters).real
-        return math.sqrt(max(total, 0.0))
+        return math.sqrt(max(_moment(self.register, _overlaps(self.meters)).real, 0.0))
 
 
-def _pair_sum(
-    entries: list[tuple[tuple[float, ...], complex]],
-    meters: tuple[MeterAttachment, ...],
-) -> complex:
-    """sum_{s, s'} A_s conj(A_s') prod_j <phi_s'_j|phi_s_j>."""
-    total = 0.0 + 0.0j
-    for shifts, amp in entries:
-        for shifts2, amp2 in entries:
-            k = 1.0
-            for j, meter in enumerate(meters):
-                k *= gaussian_overlap(shifts2[j], shifts[j], meter.sigma)
-            total += amp * np.conj(amp2) * k
-    return total
-
-
-def _evolve_terms(
-    experiment: Experiment, to_slice: int
-) -> dict[tuple[str, tuple[float, ...]], complex]:
+def _evolve(experiment: Experiment, to_slice: int) -> np.ndarray:
+    """Register after the stages and couplings up to ``to_slice``.  Stages
+    accumulate ``u[row, col] * register[col]`` over the nonzero ``u[row,
+    col]`` in column order, so amplitudes that cancel on paper are 0.0."""
     layout = experiment.layout
     meters = experiment.meters
     m = len(meters)
-    terms: dict[tuple[str, tuple[float, ...]], complex] = {
-        (layout.source, (0.0,) * m): 1.0 + 0.0j
-    }
+    size = max(len(arms) for arms in layout.slices) * 2 ** m
+    if size > MAX_REGISTER_ENTRIES:
+        raise RegisterTooLarge(f"{m} meters need a register of {size} entries "
+                               f"(limit {MAX_REGISTER_ENTRIES})")
+    reg = np.zeros((len(layout.slices[0]),) + (2,) * m, dtype=complex)
+    reg[(layout.arm_index(0, layout.source),) + (0,) * m] = 1.0
 
     def couple(at_slice: int):
-        nonlocal terms
         for j, meter in enumerate(meters):
             if meter.slice_index != at_slice or meter.strength == 0.0:
                 continue
-            updated: dict[tuple[str, tuple[float, ...]], complex] = {}
-            for (arm, shifts), amp in terms.items():
-                if arm == meter.arm:
-                    shifts = shifts[:j] + (meter.strength,) + shifts[j + 1:]
-                updated[(arm, shifts)] = updated.get((arm, shifts), 0.0) + amp
-            terms = updated
+            axis = np.moveaxis(reg[layout.arm_index(at_slice, meter.arm)], j, 0)
+            axis[1] = axis[0]
+            axis[0] = 0.0
 
     couple(0)
     for k in range(to_slice):
         u = stage_unitary(layout, k)
-        ins, outs = layout.slices[k], layout.slices[k + 1]
-        moved: dict[tuple[str, tuple[float, ...]], complex] = {}
-        for (arm, shifts), amp in terms.items():
-            col = ins.index(arm)
-            for row, out_arm in enumerate(outs):
-                c = u[row, col]
-                if c == 0.0:
-                    continue
-                key = (out_arm, shifts)
-                moved[key] = moved.get(key, 0.0) + c * amp
-        terms = {key: amp for key, amp in moved.items() if amp != 0.0}
+        out = np.zeros((u.shape[0],) + reg.shape[1:], dtype=complex)
+        for col, row in zip(*np.nonzero(u.T)):
+            out[row] += u[row, col] * reg[col]
+        reg = out
         couple(k + 1)
-    return terms
+    return reg
 
 
 def run_coupled(experiment: Experiment) -> JointState:
     """Evolve source + pointers through all stages and couplings.
 
     Couplings fire when the particle arrives at a meter's slice (before
-    the next stage acts); each multiplies the meter's shift register from
-    0 to its strength on the terms occupying the metered arm.  The
-    returned state lives on the final slice, term count bounded by
-    (arms) * 2^(number of meters), with unit norm.
+    the next stage acts); each moves the amplitude on the metered arm from
+    index 0 to index 1 of the meter's axis.  The returned state lives on
+    the final slice, holds ``arms * 2**meters`` entries (more than
+    ``MAX_REGISTER_ENTRIES`` raise :class:`RegisterTooLarge`), and has unit
+    norm.
     """
     layout = experiment.layout
     return JointState(
-        layout.final_slice, experiment, _evolve_terms(experiment, layout.final_slice)
+        layout.final_slice, experiment, _evolve(experiment, layout.final_slice)
     )
 
 
@@ -268,28 +297,28 @@ class PointerMixture:
     """Pointer-only state conditioned on one detector port.
 
     Postselecting a port leaves the (pure, unnormalised) pointer state
-    ``sum_s A_s prod_j |phi_{s_j}>``.  ``amplitudes`` maps shift vectors to
-    ``A_s``; ``terms`` exposes the equivalent density-matrix form mapping
-    ``(ket shifts, bra shifts)`` to ``A_s conj(A_s')``.
+    ``sum_s A_s prod_j |phi_{s_j}>``, held as the register row of the
+    port's arm, shape ``(2,) * meters``.  ``amplitudes`` maps the shift
+    vector of every nonzero entry to ``A_s``.
     """
 
     meters: tuple[MeterAttachment, ...]
-    amplitudes: dict[tuple[float, ...], complex]
+    register: np.ndarray
     postselection_probability: float
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Shift rows ``(T, meters)`` and amplitudes ``(T,)`` of the nonzero
+        terms, in the register's C order."""
+        _, shifts, amps = _nonzero(self.register, self.meters)
+        return shifts, amps
+
     @property
-    def terms(self) -> dict[tuple[tuple[float, ...], tuple[float, ...]], complex]:
-        return {
-            (s, s2): amp * np.conj(amp2)
-            for s, amp in self.amplitudes.items()
-            for s2, amp2 in self.amplitudes.items()
-        }
+    def amplitudes(self) -> dict[tuple[float, ...], complex]:
+        shifts, amps = self.entries()
+        return dict(zip(map(tuple, shifts.tolist()), amps.tolist()))
 
     def meter(self, meter_id: int) -> MeterAttachment:
-        for m in self.meters:
-            if m.meter_id == meter_id:
-                return m
-        raise ValueError(f"no meter with id {meter_id}")
+        return self.meters[_meter_index(self.meters, meter_id)]
 
 
 def postselect(joint: JointState, port: str) -> PointerMixture:
@@ -301,62 +330,45 @@ def postselect(joint: JointState, port: str) -> PointerMixture:
         If the postselection probability falls below 1e-300.
     """
     layout = joint.experiment.layout
-    arm = layout.port_arm(port)
-    amps = {
-        shifts: amp for (a, shifts), amp in joint.terms.items() if a == arm
-    }
-    entries = list(amps.items())
-    prob = _pair_sum(entries, joint.meters).real
+    row = joint.register[layout.arm_index(joint.slice_index, layout.port_arm(port))]
+    prob = _moment(row, _overlaps(joint.meters)).real
     if prob < ZERO_PROBABILITY_TOL:
         raise ZeroProbability(
             f"port {port!r} fires with probability {prob:.3e}"
         )
-    return PointerMixture(joint.meters, amps, prob)
+    return PointerMixture(joint.meters, row, prob)
 
 
 # ----------------------------------------------------------------------
 # Moments of the post-selected pointer state
 
 _ELEMENTS = {
-    "1": lambda a, b, sigma: gaussian_overlap(a, b, sigma),
-    "x": lambda a, b, sigma: gaussian_x_element(a, b, sigma),
-    "p": lambda a, b, sigma: gaussian_p_element(a, b, sigma),
-    "xx": lambda a, b, sigma: gaussian_x2_element(a, b, sigma),
-    "pp": lambda a, b, sigma: gaussian_p2_element(a, b, sigma),
+    "1": gaussian_overlap,
+    "x": gaussian_x_element,
+    "p": gaussian_p_element,
+    "xx": gaussian_x2_element,
+    "pp": gaussian_p2_element,
 }
 
 
-def _meter_index(mixture: PointerMixture, meter_id: int) -> int:
-    for j, m in enumerate(mixture.meters):
-        if m.meter_id == meter_id:
-            return j
-    raise ValueError(f"no meter with id {meter_id}")
-
-
-def _expectation(mixture: PointerMixture, ops: dict[int, str]) -> complex:
-    """<prod_j O_j> over the mixture, O_j given per meter list index."""
-    total = 0.0 + 0.0j
-    items = list(mixture.amplitudes.items())
-    for s, amp in items:
-        for s2, amp2 in items:
-            factor = 1.0 + 0.0j
-            for j, meter in enumerate(mixture.meters):
-                op = ops.get(j, "1")
-                # bra shift first: element is <phi_{s2_j}| O |phi_{s_j}>
-                factor *= _ELEMENTS[op](s2[j], s[j], meter.sigma)
-            total += amp * np.conj(amp2) * factor
-    return total / mixture.postselection_probability
+def _expectation(mixture: PointerMixture, ops: dict[int, str], what: str) -> float:
+    """Real <prod_j O_j> over the mixture, O_j given per meter list index."""
+    mats = [
+        _element_matrix(_ELEMENTS[ops.get(j, "1")], meter)
+        for j, meter in enumerate(mixture.meters)
+    ]
+    value = _moment(mixture.register, mats) / mixture.postselection_probability
+    if abs(value.imag) > 1e-10:
+        raise RuntimeError(f"{what} came out complex ({value:.3e})")
+    return value.real
 
 
 def pointer_mean(mixture: PointerMixture, meter_id: int, quadrature: str) -> float:
     """<x> or <p> of one pointer, conditioned on the postselection."""
     if quadrature not in ("x", "p"):
         raise ValueError("quadrature must be 'x' or 'p'")
-    j = _meter_index(mixture, meter_id)
-    value = _expectation(mixture, {j: quadrature})
-    if abs(value.imag) > 1e-10:
-        raise RuntimeError(f"pointer mean came out complex ({value:.3e})")
-    return value.real
+    j = _meter_index(mixture.meters, meter_id)
+    return _expectation(mixture, {j: quadrature}, "pointer mean")
 
 
 def pointer_corr(
@@ -373,19 +385,15 @@ def pointer_corr(
     (i, qi), (j, qj) = first, second
     if qi not in ("x", "p") or qj not in ("x", "p"):
         raise ValueError("quadrature must be 'x' or 'p'")
-    ji = _meter_index(mixture, i)
-    jj = _meter_index(mixture, j)
+    ji = _meter_index(mixture.meters, i)
+    jj = _meter_index(mixture.meters, j)
     if ji == jj:
         if qi != qj:
             raise ValueError(
                 "mixed x/p moments of a single meter are not jointly measurable"
             )
-        value = _expectation(mixture, {ji: qi + qi})
-    else:
-        value = _expectation(mixture, {ji: qi, jj: qj})
-    if abs(value.imag) > 1e-10:
-        raise RuntimeError(f"correlator came out complex ({value:.3e})")
-    return value.real
+        return _expectation(mixture, {ji: qi + qi}, "correlator")
+    return _expectation(mixture, {ji: qi, jj: qj}, "correlator")
 
 
 def zeta_corr(mixture: PointerMixture, i: int, j: int) -> complex:
@@ -413,26 +421,17 @@ def zeta_corr(mixture: PointerMixture, i: int, j: int) -> complex:
 def zeta_corr_direct(mixture: PointerMixture, i: int, j: int) -> complex:
     """Same correlator evaluated through the annihilation property.
 
-    ``zeta`` maps a pointer displaced by s to s times itself, so the
-    correlator is a shift-weighted overlap sum.  Kept separate from
+    ``zeta`` maps a pointer displaced by s to s times itself, so on the
+    two meters' axes it acts as ``diag(0, g)`` on the ket side, next to
+    the overlap matrix that every axis carries.  Kept separate from
     :func:`zeta_corr` as an independent route for cross-checks.
     """
     if i == j:
         raise ValueError("the readout correlator needs two distinct meters")
-    ji = _meter_index(mixture, i)
-    jj = _meter_index(mixture, j)
-    total = 0.0 + 0.0j
-    items = list(mixture.amplitudes.items())
-    for s, amp in items:
-        weight = s[ji] * s[jj]
-        if weight == 0.0:
-            continue
-        for s2, amp2 in items:
-            k = 1.0
-            for idx, meter in enumerate(mixture.meters):
-                k *= gaussian_overlap(s2[idx], s[idx], meter.sigma)
-            total += amp * np.conj(amp2) * weight * k
-    return total / mixture.postselection_probability
+    ops = _overlaps(mixture.meters)
+    for k in (_meter_index(mixture.meters, i), _meter_index(mixture.meters, j)):
+        ops[k] = ops[k] * [0.0, mixture.meters[k].strength]
+    return _moment(mixture.register, ops) / mixture.postselection_probability
 
 
 def estimate_weak_value(mixture: PointerMixture, meter_id: int) -> complex:
@@ -477,8 +476,6 @@ def arm_probability(experiment: Experiment, arm: str, slice_index: int) -> float
         raise ValueError(f"invalid slice index {slice_index}")
     if arm not in layout.slices[slice_index]:
         raise ValueError(f"arm {arm!r} is not on slice {slice_index}")
-    terms = _evolve_terms(experiment, slice_index)
-    entries = [
-        (shifts, amp) for (a, shifts), amp in terms.items() if a == arm
-    ]
-    return _pair_sum(entries, experiment.meters).real
+    reg = _evolve(experiment, slice_index)
+    row = reg[layout.arm_index(slice_index, arm)]
+    return _moment(row, _overlaps(experiment.meters)).real

@@ -27,6 +27,7 @@ from .meter import MeterAttachment, PointerMixture
 
 __all__ = [
     "BLOCK_SIZE",
+    "CANDIDATE_BUDGET",
     "CostModel",
     "JACKKNIFE_BLOCKS",
     "MIN_SAMPLES",
@@ -34,6 +35,7 @@ __all__ = [
     "ReadoutPlan",
     "SampleBatch",
     "SampleEstimates",
+    "SamplingBudgetExceeded",
     "calibrate_cost_model",
     "estimate_from_samples",
     "export_batch_csv",
@@ -44,6 +46,13 @@ __all__ = [
 BLOCK_SIZE = 4096
 JACKKNIFE_BLOCKS = 50
 MIN_SAMPLES = 100
+CANDIDATE_BUDGET = 1 << 22
+"""Most rejection candidates one block of ``BLOCK_SIZE`` readings may draw,
+enough for an acceptance down to about 1e-3."""
+
+
+class SamplingBudgetExceeded(RuntimeError):
+    """A block would need more than ``CANDIDATE_BUDGET`` rejection candidates."""
 
 
 @dataclass(frozen=True)
@@ -74,92 +83,89 @@ class SampleBatch:
     acceptance_rate: float
 
 
-def _density_terms(mixture: PointerMixture, quadratures: tuple[str, ...]):
-    """Precompute per-term shift rows and amplitudes for density evaluation."""
-    shifts = np.array(list(mixture.amplitudes.keys()), dtype=float)
-    amps = np.array(list(mixture.amplitudes.values()), dtype=complex)
-    sigmas = np.array([m.sigma for m in mixture.meters], dtype=float)
-    return shifts, amps, sigmas
+class _Density:
+    """The postselected density's terms and envelope, shared by every block."""
 
+    def __init__(self, mixture: PointerMixture, quadratures: tuple[str, ...]):
+        self.quadratures = quadratures
+        self.shifts, self.amps = mixture.entries()
+        self.abs_amps = np.abs(self.amps)
+        self.sigmas = np.array([m.sigma for m in mixture.meters], dtype=float)
+        t, m = self.shifts.shape
 
-def _term_factors(v: np.ndarray, shifts: np.ndarray, sigmas: np.ndarray,
-                  quadratures: tuple[str, ...]):
-    """Per-candidate, per-term wavefunction factors and their moduli.
+        # Envelope: (sum_s |A_s| u_s(v))^2, a mixture over term pairs (s, s') of
+        # per-meter product Gaussians; for x readout the pair component is
+        # N((s_j + s'_j)/2, sigma_j^2) with weight K(s_j, s'_j), for p readout
+        # N(0, 1/(4 sigma_j^2)) with weight 1.
+        pair_w = np.outer(self.abs_amps, self.abs_amps).ravel()
+        self.means = np.zeros((t * t, m))
+        self.devs = np.zeros((t * t, m))
+        for j in range(m):
+            sj = self.shifts[:, j]
+            if quadratures[j] == "x":
+                pair_k = np.exp(-((sj[:, None] - sj[None, :]) ** 2) / (8 * self.sigmas[j] ** 2))
+                pair_w = pair_w * pair_k.ravel()
+                self.means[:, j] = (0.5 * (sj[:, None] + sj[None, :])).ravel()
+                self.devs[:, j] = self.sigmas[j]
+            else:
+                self.devs[:, j] = 0.5 / self.sigmas[j]
+        self.pair_p = pair_w / pair_w.sum()
+        # mean acceptance = (target mass) / (envelope mass)
+        self.rate = mixture.postselection_probability / float(pair_w.sum())
 
-    v has shape (n, m); returns complex (n, T) products over meters of
-    phi_{s}(v) for x readout and of the momentum-space packet for p
-    readout, together with the modulus array used by the envelope.
-    """
-    n, m = v.shape
-    t = shifts.shape[0]
-    w = np.ones((n, t), dtype=complex)
-    w_abs = np.ones((n, t), dtype=float)
-    for j in range(m):
-        s = sigmas[j]
-        col = v[:, j][:, None]
-        sj = shifts[:, j][None, :]
-        if quadratures[j] == "x":
-            f = (2.0 * math.pi * s * s) ** -0.25 * np.exp(
-                -((col - sj) ** 2) / (4.0 * s * s)
-            )
-            w *= f
-            w_abs *= f
-        else:
-            mag = (2.0 * s * s / math.pi) ** 0.25 * np.exp(-(s * s) * col ** 2)
-            w *= mag * np.exp(-1j * col * sj)
-            w_abs *= np.broadcast_to(mag, (n, t))
-    return w, w_abs
+    def sample_block(self, seed: int, block_index: int, count: int):
+        """Draw ``count`` readings from the block's own Philox stream."""
+        rng = np.random.Generator(np.random.Philox(key=[seed, block_index]))
+        out = np.empty((count, self.shifts.shape[1]))
+        filled = 0
+        candidates = 0
+        while filled < count:
+            draw = min(1 << 17, max(256, int(1.5 * (count - filled) / max(0.05, self.rate))))
+            comp = rng.choice(self.pair_p.size, size=draw, p=self.pair_p)
+            v = rng.normal(self.means[comp], self.devs[comp])
+            u = rng.random(draw)
+            w, w_abs = self.factors(v)
+            f = np.abs(w @ self.amps) ** 2
+            env = (w_abs @ self.abs_amps) ** 2
+            keep = v[u * env < f]
+            candidates += draw
+            take = min(count - filled, keep.shape[0])
+            out[filled:filled + take] = keep[:take]
+            filled += take
+            if filled < count and candidates >= CANDIDATE_BUDGET:
+                raise SamplingBudgetExceeded(
+                    f"block {block_index} used {candidates} candidates for {filled} "
+                    f"of {count} readings (predicted acceptance {self.rate:.3e})")
+        return out, candidates
 
+    def factors(self, v: np.ndarray):
+        """Per-candidate, per-term wavefunction factors and their moduli.
 
-def _sample_block(mixture: PointerMixture, quadratures: tuple[str, ...],
-                  seed: int, block_index: int, count: int):
-    """Draw ``count`` readings from the block's own Philox stream."""
-    shifts, amps, sigmas = _density_terms(mixture, quadratures)
-    t, m = shifts.shape
-    abs_amps = np.abs(amps)
-
-    # Envelope: (sum_s |A_s| u_s(v))^2, a mixture over term pairs (s, s') of
-    # per-meter product Gaussians; for x readout the pair component is
-    # N((s_j + s'_j)/2, sigma_j^2) with weight K(s_j, s'_j), for p readout
-    # N(0, 1/(4 sigma_j^2)) with weight 1.
-    pair_w = np.outer(abs_amps, abs_amps).ravel()
-    means = np.zeros((t * t, m))
-    devs = np.zeros((t * t, m))
-    for j in range(m):
-        sj = shifts[:, j]
-        if quadratures[j] == "x":
-            pair_k = np.exp(-((sj[:, None] - sj[None, :]) ** 2) / (8 * sigmas[j] ** 2))
-            pair_w = pair_w * pair_k.ravel()
-            means[:, j] = (0.5 * (sj[:, None] + sj[None, :])).ravel()
-            devs[:, j] = sigmas[j]
-        else:
-            devs[:, j] = 0.5 / sigmas[j]
-    pair_p = pair_w / pair_w.sum()
-
-    rng = np.random.Generator(np.random.Philox(key=[seed, block_index]))
-    out = np.empty((count, m))
-    filled = 0
-    candidates = 0
-    while filled < count:
-        draw = max(256, int(1.5 * (count - filled) / max(0.05, _rate(mixture, pair_w))))
-        draw = min(draw, 1 << 17)
-        comp = rng.choice(t * t, size=draw, p=pair_p)
-        v = rng.normal(means[comp], devs[comp])
-        u = rng.random(draw)
-        w, w_abs = _term_factors(v, shifts, sigmas, quadratures)
-        f = np.abs(w @ amps) ** 2
-        env = (w_abs @ abs_amps) ** 2
-        keep = v[u * env < f]
-        candidates += draw
-        take = min(count - filled, keep.shape[0])
-        out[filled:filled + take] = keep[:take]
-        filled += take
-    return out, candidates
-
-
-def _rate(mixture: PointerMixture, pair_w: np.ndarray) -> float:
-    # mean acceptance = (target mass) / (envelope mass)
-    return mixture.postselection_probability / float(pair_w.sum())
+        v has shape (n, m); returns complex (n, T) products over meters of
+        phi_{s}(v) for x readout and of the momentum-space packet for p
+        readout, together with the modulus array used by the envelope.
+        """
+        n, m = v.shape
+        t = self.shifts.shape[0]
+        w = np.ones((n, t), dtype=complex)
+        w_abs = np.ones((n, t), dtype=float)
+        for j in range(m):
+            s = self.sigmas[j]
+            col = v[:, j][:, None]
+            sj = self.shifts[:, j][None, :]
+            if self.quadratures[j] == "x":
+                f = col - sj  # then in place: one (n, T) temporary at a time
+                np.square(f, out=f)
+                f /= -4.0 * s * s
+                np.exp(f, out=f)
+                f *= (2.0 * math.pi * s * s) ** -0.25
+                w *= f
+                w_abs *= f
+            else:
+                mag = (2.0 * s * s / math.pi) ** 0.25 * np.exp(-(s * s) * col ** 2)
+                w *= mag * np.exp(-1j * col * sj)
+                w_abs *= np.broadcast_to(mag, (n, t))
+        return w, w_abs
 
 
 def sample_readings(mixture: PointerMixture, plan: ReadoutPlan) -> SampleBatch:
@@ -178,6 +184,9 @@ def sample_readings(mixture: PointerMixture, plan: ReadoutPlan) -> SampleBatch:
     SampleBatch
         Readings of shape ``(plan.n, number of meters)``, the physical
         postselection pass rate, and the rejection acceptance rate.
+        Raises :class:`SamplingBudgetExceeded` when a block would need more
+        than ``CANDIDATE_BUDGET`` candidates, predicted before any draw or
+        counted while drawing.
 
     Notes
     -----
@@ -187,6 +196,11 @@ def sample_readings(mixture: PointerMixture, plan: ReadoutPlan) -> SampleBatch:
     m = len(mixture.meters)
     if len(plan.quadratures) != m:
         raise ValueError(f"plan lists {len(plan.quadratures)} quadratures for {m} meters")
+    density = _Density(mixture, plan.quadratures)
+    if BLOCK_SIZE / density.rate > CANDIDATE_BUDGET:
+        raise SamplingBudgetExceeded(
+            f"predicted acceptance {density.rate:.3e} needs more than "
+            f"{CANDIDATE_BUDGET} candidates per block of {BLOCK_SIZE} readings")
     out = np.empty((plan.n, m))
     candidates = 0
     for block in range((plan.n + BLOCK_SIZE - 1) // BLOCK_SIZE):
@@ -194,9 +208,7 @@ def sample_readings(mixture: PointerMixture, plan: ReadoutPlan) -> SampleBatch:
         hi = min(plan.n, lo + BLOCK_SIZE)
         # Every block draws a full block's worth so partial final blocks
         # still reproduce the full-block prefix.
-        block_readings, cand = _sample_block(
-            mixture, plan.quadratures, plan.seed, block, BLOCK_SIZE
-        )
+        block_readings, cand = density.sample_block(plan.seed, block, BLOCK_SIZE)
         out[lo:hi] = block_readings[: hi - lo]
         candidates += cand
     drawn = BLOCK_SIZE * math.ceil(plan.n / BLOCK_SIZE)

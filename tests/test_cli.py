@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from tsvfsim import meter
 from tsvfsim.cli import (
     main,
     cmd_sequential,
@@ -350,6 +351,27 @@ def test_degenerate_port_exits_nonzero(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_montecarlo_with_hopeless_acceptance_exits_2(tmp_path, capsys):
+    net = tmp_path / "mzi.net"
+    net.write_text(DARK_MZI)
+    code, out, err = run_cli(
+        "montecarlo", "--network", str(net), "--postselect", "PD",
+        "--meter", "A@1:g=2e-4", "--meter", "dark@2:g=0.3", "--n", "1000",
+        capsys=capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "predicted acceptance" in err
+
+
+def test_register_too_large_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(meter, "MAX_REGISTER_ENTRIES", 8)
+    code, out, err = run_cli("montecarlo", "--n", "1000", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "register" in err
 
 
 def test_custom_network_requires_port_choice(tmp_path, capsys):

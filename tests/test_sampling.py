@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,12 +17,15 @@ from tsvfsim.meter import (
     postselect,
     run_coupled,
 )
-from tsvfsim.network import nested_mzi_preset
+from tsvfsim import sampling
+from tsvfsim.network import nested_mzi_preset, parse_network
 from tsvfsim.sampling import (
     BLOCK_SIZE,
+    CANDIDATE_BUDGET,
     MIN_SAMPLES,
     CostModel,
     ReadoutPlan,
+    SamplingBudgetExceeded,
     calibrate_cost_model,
     estimate_from_samples,
     export_batch_csv,
@@ -212,3 +216,47 @@ def test_export_batch_csv(tmp_path, mixture):
     assert meta["pass_rate"] == pytest.approx(mixture.postselection_probability)
     assert len(meta["meters"]) == 2
     assert meta["meters"][0]["arm"] == "B"
+
+
+DARK_MZI = """
+arm s
+arm A
+arm B
+arm dark
+arm bright
+slice 0: s
+slice 1: A, B
+slice 2: dark, bright
+source s
+bs split stage=0 in=s out=A,B
+bs merge stage=1 in=A,B out=dark,bright
+detector PD=dark
+detector PB=bright
+"""
+
+
+def test_hopeless_acceptance_raises_before_drawing():
+    # a feeble meter barely opens the dark port: P ~ 2.5e-9, and so is the
+    # predicted acceptance of the rejection sampler
+    exp = attach_meter(new_experiment(parse_network(DARK_MZI)), "A", 1, 2e-4, 1.0)
+    mix = postselect(run_coupled(exp), "PD")
+    assert len(mix.amplitudes) == 2
+    assert mix.postselection_probability == pytest.approx(2.5e-9, rel=1e-3)
+    start = time.perf_counter()
+    with pytest.raises(SamplingBudgetExceeded, match="predicted acceptance 2.5"):
+        sample_readings(mix, ReadoutPlan(("x",), 10, 1))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_block_past_its_budget_raises(monkeypatch, mixture):
+    # the check inside the draw loop: a block that has used its budget and
+    # is still short of readings stops instead of drawing on
+    monkeypatch.setattr(sampling, "CANDIDATE_BUDGET", 1 << 17)
+    density = sampling._Density(mixture, ("x", "x"))
+    with pytest.raises(SamplingBudgetExceeded, match="predicted acceptance"):
+        density.sample_block(3, 0, 10 ** 6)
+
+
+def test_budget_leaves_room_for_the_preset(mixture):
+    batch = sample_readings(mixture, ReadoutPlan(("p", "x"), BLOCK_SIZE, 8))
+    assert BLOCK_SIZE / batch.acceptance_rate < CANDIDATE_BUDGET / 100
