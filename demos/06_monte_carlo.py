@@ -31,7 +31,7 @@ for k, quads in enumerate((("x", "x"), ("p", "p"), ("x", "p"), ("p", "x"))):
     batch = sample_readings(mixture, ReadoutPlan(quads, n, seed + k))
     batches.append(batch)
     print(f"combo {quads[0]}{quads[1]}: {n} readings, "
-          f"rejection acceptance rate {batch.acceptance_rate:.2f}")
+          f"{batch.acceptance_rate:.2f} readings kept per candidate drawn")
 
 est = estimate_from_samples(batches)
 se = math.hypot(*est.sequential_stderr)

@@ -2,11 +2,12 @@
 
 Readings are drawn from the exact joint density of the chosen quadratures
 (one per meter, ``x`` or ``p``), interference cross-terms included, by
-rejection sampling under a positive Gaussian-mixture envelope.  Randomness
-comes from the Philox counter-based generator: reading block ``b`` of a
-batch uses a generator keyed by ``(seed, b)``, so any partitioning of the
-same total sample count over workers reproduces the same readings bit for
-bit.
+rejection sampling under a positive Gaussian-mixture envelope; a chunk of
+n candidates costs one (n x m)(m x T) product and one ``exp`` for m meters
+and T mixture terms.  Randomness comes from the Philox counter-based
+generator: reading block ``b`` of a batch uses a generator keyed by
+``(seed, b)``, so any partitioning of the same total sample count over
+workers reproduces the same readings bit for bit.
 
 Moment estimates carry jackknife standard errors over 50 blocks, and the
 four quadrature combinations of a two-meter run assemble into the complex
@@ -74,7 +75,11 @@ class ReadoutPlan:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Matrix of readings (n rows, one column per meter) plus provenance."""
+    """Matrix of readings (n rows, one column per meter) plus provenance.
+
+    ``acceptance_rate`` is readings kept per candidate drawn.  Each chunk
+    draws 1.5 times the candidates it expects to need, so this sits below
+    the envelope's own acceptance (0.166 against 0.25 on the preset)."""
 
     plan: ReadoutPlan
     meters: tuple[MeterAttachment, ...]
@@ -87,28 +92,31 @@ class _Density:
     """The postselected density's terms and envelope, shared by every block."""
 
     def __init__(self, mixture: PointerMixture, quadratures: tuple[str, ...]):
-        self.quadratures = quadratures
-        self.shifts, self.amps = mixture.entries()
+        shifts, self.amps = mixture.entries()
         self.abs_amps = np.abs(self.amps)
-        self.sigmas = np.array([m.sigma for m in mixture.meters], dtype=float)
-        t, m = self.shifts.shape
+        sigmas = np.array([m.sigma for m in mixture.meters], dtype=float)
+        t, m = shifts.shape
+        is_x = np.array([q == "x" for q in quadratures], dtype=bool)
+        self.x_cols, self.p_cols = np.flatnonzero(is_x), np.flatnonzero(~is_x)
+        sx = shifts[:, is_x]
+        self.bx = (sx / (2.0 * sigmas[is_x] ** 2)).T
+        self.cx = (sx ** 2 / (4.0 * sigmas[is_x] ** 2)).sum(axis=1)
+        self.qx = 0.25 / sigmas[is_x] ** 2
+        self.sp_t = shifts[:, ~is_x].T
+        self.amp_cols = np.stack([self.amps.real, self.amps.imag, self.abs_amps], axis=1)
 
-        # Envelope: (sum_s |A_s| u_s(v))^2, a mixture over term pairs (s, s') of
-        # per-meter product Gaussians; for x readout the pair component is
+        # Envelope: (sum_s |A_s| |w_s(v)|)^2, a mixture over term pairs (s, s')
+        # of per-meter product Gaussians; for x readout the pair component is
         # N((s_j + s'_j)/2, sigma_j^2) with weight K(s_j, s'_j), for p readout
         # N(0, 1/(4 sigma_j^2)) with weight 1.
         pair_w = np.outer(self.abs_amps, self.abs_amps).ravel()
         self.means = np.zeros((t * t, m))
-        self.devs = np.zeros((t * t, m))
-        for j in range(m):
-            sj = self.shifts[:, j]
-            if quadratures[j] == "x":
-                pair_k = np.exp(-((sj[:, None] - sj[None, :]) ** 2) / (8 * self.sigmas[j] ** 2))
-                pair_w = pair_w * pair_k.ravel()
-                self.means[:, j] = (0.5 * (sj[:, None] + sj[None, :])).ravel()
-                self.devs[:, j] = self.sigmas[j]
-            else:
-                self.devs[:, j] = 0.5 / self.sigmas[j]
+        for j in self.x_cols:
+            sj = shifts[:, j]
+            pair_k = np.exp(-((sj[:, None] - sj[None, :]) ** 2) / (8 * sigmas[j] ** 2))
+            pair_w = pair_w * pair_k.ravel()
+            self.means[:, j] = (0.5 * (sj[:, None] + sj[None, :])).ravel()
+        self.dev_row = np.where(is_x, sigmas, 0.5 / sigmas)
         self.pair_p = pair_w / pair_w.sum()
         # mean acceptance = (target mass) / (envelope mass)
         self.rate = mixture.postselection_probability / float(pair_w.sum())
@@ -116,17 +124,15 @@ class _Density:
     def sample_block(self, seed: int, block_index: int, count: int):
         """Draw ``count`` readings from the block's own Philox stream."""
         rng = np.random.Generator(np.random.Philox(key=[seed, block_index]))
-        out = np.empty((count, self.shifts.shape[1]))
+        out = np.empty((count, self.dev_row.size))
         filled = 0
         candidates = 0
         while filled < count:
             draw = min(1 << 17, max(256, int(1.5 * (count - filled) / max(0.05, self.rate))))
             comp = rng.choice(self.pair_p.size, size=draw, p=self.pair_p)
-            v = rng.normal(self.means[comp], self.devs[comp])
+            v = rng.standard_normal((draw, self.dev_row.size)) * self.dev_row + self.means[comp]
             u = rng.random(draw)
-            w, w_abs = self.factors(v)
-            f = np.abs(w @ self.amps) ** 2
-            env = (w_abs @ self.abs_amps) ** 2
+            f, env = self.weights(v)
             keep = v[u * env < f]
             candidates += draw
             take = min(count - filled, keep.shape[0])
@@ -138,34 +144,31 @@ class _Density:
                     f"of {count} readings (predicted acceptance {self.rate:.3e})")
         return out, candidates
 
-    def factors(self, v: np.ndarray):
-        """Per-candidate, per-term wavefunction factors and their moduli.
+    def weights(self, v: np.ndarray):
+        """Density ``|sum_t A_t w_t|^2`` and envelope ``(sum_t |A_t| |w_t|)^2``
+        at readings ``v`` of shape (n, m), both up to one positive factor per row.
 
-        v has shape (n, m); returns complex (n, T) products over meters of
-        phi_{s}(v) for x readout and of the momentum-space packet for p
-        readout, together with the modulus array used by the envelope.
+        ``w_t`` is the product over meters of the position packet ``exp(-(v -
+        s_tj)^2 / (4 sigma_j^2))`` (x readout) or the momentum packet
+        ``exp(-sigma_j^2 v^2 - i v s_tj)`` (p readout), without the factors
+        common to every term.  The x exponents expand to ``v_x B - c - q(v)``
+        (``B = S_x^T / (2 sigma^2)``, ``c = sum_j S_x^2 / (4 sigma^2)``, ``q =
+        sum_j v_x^2 / (4 sigma^2)``), so n candidates cost one (n x m)(m x T)
+        product and one ``exp``.  Keeping q holds every exponent at or below
+        0: ``v s / (2 sigma^2)`` alone overflows ``exp`` for strong meters.
         """
-        n, m = v.shape
-        t = self.shifts.shape[0]
-        w = np.ones((n, t), dtype=complex)
-        w_abs = np.ones((n, t), dtype=float)
-        for j in range(m):
-            s = self.sigmas[j]
-            col = v[:, j][:, None]
-            sj = self.shifts[:, j][None, :]
-            if self.quadratures[j] == "x":
-                f = col - sj  # then in place: one (n, T) temporary at a time
-                np.square(f, out=f)
-                f /= -4.0 * s * s
-                np.exp(f, out=f)
-                f *= (2.0 * math.pi * s * s) ** -0.25
-                w *= f
-                w_abs *= f
-            else:
-                mag = (2.0 * s * s / math.pi) ** 0.25 * np.exp(-(s * s) * col ** 2)
-                w *= mag * np.exp(-1j * col * sj)
-                w_abs *= np.broadcast_to(mag, (n, t))
-        return w, w_abs
+        vx = v[:, self.x_cols]
+        mag = vx @ self.bx
+        mag -= self.cx
+        mag -= np.einsum("ij,ij,j->i", vx, vx, self.qx)[:, None]
+        np.exp(mag, out=mag)
+        if not self.p_cols.size:
+            re, im, env = (mag @ self.amp_cols).T
+            return re * re + im * im, env * env
+        w = np.multiply(v[:, self.p_cols] @ self.sp_t, -1j)
+        np.exp(w, out=w)
+        w *= mag
+        return np.abs(w @ self.amps) ** 2, (mag @ self.abs_amps) ** 2
 
 
 def sample_readings(mixture: PointerMixture, plan: ReadoutPlan) -> SampleBatch:
@@ -183,7 +186,7 @@ def sample_readings(mixture: PointerMixture, plan: ReadoutPlan) -> SampleBatch:
     -------
     SampleBatch
         Readings of shape ``(plan.n, number of meters)``, the physical
-        postselection pass rate, and the rejection acceptance rate.
+        postselection pass rate, and the readings kept per candidate drawn.
         Raises :class:`SamplingBudgetExceeded` when a block would need more
         than ``CANDIDATE_BUDGET`` candidates, predicted before any draw or
         counted while drawing.
@@ -212,13 +215,8 @@ def sample_readings(mixture: PointerMixture, plan: ReadoutPlan) -> SampleBatch:
         out[lo:hi] = block_readings[: hi - lo]
         candidates += cand
     drawn = BLOCK_SIZE * math.ceil(plan.n / BLOCK_SIZE)
-    return SampleBatch(
-        plan=plan,
-        meters=mixture.meters,
-        readings=out,
-        postselection_probability=mixture.postselection_probability,
-        acceptance_rate=drawn / candidates,
-    )
+    return SampleBatch(plan, mixture.meters, out, mixture.postselection_probability,
+                       acceptance_rate=drawn / candidates)
 
 
 # ----------------------------------------------------------------------
@@ -383,8 +381,9 @@ def export_batch_csv(batch: SampleBatch, path: str | Path,
     """Write readings as CSV rows ``meter_id,quadrature,reading``.
 
     A JSON sidecar (default: same name with ``.meta.json`` appended)
-    records the seed, the reading count and the pass rates, enough to
-    reproduce the batch bit for bit.
+    records the seed, the reading count, the postselection pass rate and
+    the readings kept per candidate drawn (``rejection_acceptance_rate``),
+    enough to reproduce the batch bit for bit.
     """
     path = Path(path)
     meta = Path(meta_path) if meta_path is not None else path.with_name(

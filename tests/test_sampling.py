@@ -2,13 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import tsvfsim
 from tsvfsim.meter import (
+    ZeroProbability,
     attach_meter,
     estimate_sequential_weak_value,
     new_experiment,
@@ -18,7 +24,7 @@ from tsvfsim.meter import (
     run_coupled,
 )
 from tsvfsim import sampling
-from tsvfsim.network import nested_mzi_preset, parse_network
+from tsvfsim.network import nested_mzi_preset, parse_network, random_layout
 from tsvfsim.sampling import (
     BLOCK_SIZE,
     CANDIDATE_BUDGET,
@@ -260,3 +266,150 @@ def test_block_past_its_budget_raises(monkeypatch, mixture):
 def test_budget_leaves_room_for_the_preset(mixture):
     batch = sample_readings(mixture, ReadoutPlan(("p", "x"), BLOCK_SIZE, 8))
     assert BLOCK_SIZE / batch.acceptance_rate < CANDIDATE_BUDGET / 100
+
+
+# ----------------------------------------------------------------------
+# The factored density kernel against the closed-form packets
+
+
+def reference_weights(mixture, quadratures, v):
+    """Density |sum_t A_t w_t|^2 and envelope (sum_t |A_t| |w_t|)^2 at the
+    rows of ``v``, with w_t the product over meters of the position packet
+    (2 pi sigma^2)^(-1/4) exp(-(v - s)^2 / (4 sigma^2)) for x readout and
+    the momentum packet (2 sigma^2 / pi)^(1/4) exp(-sigma^2 v^2 - i v s)
+    for p readout, term by term."""
+    psi = np.zeros(len(v), dtype=complex)
+    env = np.zeros(len(v))
+    for shift, amp in mixture.amplitudes.items():
+        w = np.ones(len(v), dtype=complex)
+        for j, (m, quad, s) in enumerate(zip(mixture.meters, quadratures, shift)):
+            sig2 = m.sigma ** 2
+            if quad == "x":
+                w *= (2 * math.pi * sig2) ** -0.25 * np.exp(-(v[:, j] - s) ** 2 / (4 * sig2))
+            else:
+                w *= (2 * sig2 / math.pi) ** 0.25 * np.exp(-sig2 * v[:, j] ** 2 - 1j * v[:, j] * s)
+        psi += amp * w
+        env += abs(amp) * np.abs(w)
+    return np.abs(psi) ** 2, env ** 2
+
+
+def random_mixture(seed):
+    """1-6 meters on a random layout, postselected on its likeliest port;
+    meter 0 has zero strength from three meters on, and from four meters on
+    meters 1 and 2 share arm and slice."""
+    layout = random_layout(seed)
+    rng = np.random.default_rng(seed)
+    n_meters = 1 + seed % 6
+    exp = new_experiment(layout)
+    for j in range(n_meters):
+        if j == 2 and n_meters >= 4:
+            arm, k = exp.meters[1].arm, exp.meters[1].slice_index
+        else:
+            k = int(rng.integers(0, layout.n_slices))
+            arm = layout.slices[k][int(rng.integers(len(layout.slices[k])))]
+        g = 0.0 if j == 0 and n_meters >= 3 else float(rng.uniform(0.1, 0.9))
+        exp = attach_meter(exp, arm, k, g, float(rng.uniform(0.5, 1.5)))
+    joint = run_coupled(exp)
+    mixtures = []
+    for port in exp.layout.ports:
+        try:
+            mixtures.append(postselect(joint, port))
+        except ZeroProbability:
+            pass
+    return max(mixtures, key=lambda mix: mix.postselection_probability)
+
+
+def strong_mixture():
+    # g / sigma = 60 on both meters: v s / (2 sigma^2) reaches 1800 at the
+    # (60, 60) term, past what exp can hold without a per-row shift
+    exp = attach_meter(new_experiment(nested_mzi_preset()), "B", T1, 60.0, 1.0)
+    return postselect(run_coupled(attach_meter(exp, "E", T2, 60.0, 1.0)), "D2")
+
+
+KERNEL_CASES = [(f"random-{seed}", seed) for seed in range(12)] + [("strong", None)]
+
+
+@pytest.mark.parametrize("readout", ["x", "p", "mixed"])
+@pytest.mark.parametrize("name, seed", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_kernel_matches_closed_form_packets(name, seed, readout):
+    mix = strong_mixture() if seed is None else random_mixture(seed)
+    m = len(mix.meters)
+    quads = {"x": ("x",) * m, "p": ("p",) * m,
+             "mixed": tuple("xp"[(j + (seed or 0)) % 2] for j in range(m))}[readout]
+    # candidates around the terms' own shifts, as the envelope draws them
+    rng = np.random.default_rng(1000 + (seed or 0))
+    is_x = np.array([q == "x" for q in quads])
+    shifts = np.array(list(mix.amplitudes))[rng.integers(len(mix.amplitudes), size=2000)]
+    width = np.array([1.5 * mt.sigma if q == "x" else 1 / mt.sigma
+                      for mt, q in zip(mix.meters, quads)])
+    v = np.where(is_x, shifts, 0.0) + width * rng.standard_normal((2000, m))
+    f, env = sampling._Density(mix, quads).weights(v)
+    f_ref, env_ref = reference_weights(mix, quads, v)
+    assert np.all(env_ref > 0)
+    # u env < f accepts with probability f / env; compare it on the
+    # envelope's scale, where cancellation in f leaves its rounding
+    assert np.max(np.abs(f / env - f_ref / env_ref)) < 1e-12
+    assert np.all(f <= env * (1 + 1e-12))
+
+
+def test_kernel_cases_cover_the_edge_cases():
+    mixtures = [random_mixture(seed) for seed in range(12)]
+    assert {len(mix.meters) for mix in mixtures} == {1, 2, 3, 4, 5, 6}
+    assert any(mt.strength == 0.0 for mix in mixtures for mt in mix.meters)
+    assert any(
+        len(mix.meters) >= 4
+        and (mix.meters[1].arm, mix.meters[1].slice_index)
+        == (mix.meters[2].arm, mix.meters[2].slice_index)
+        for mix in mixtures
+    )
+    assert any(len(mix.amplitudes) >= 4 for mix in mixtures)
+
+
+def test_strong_meters_sample_the_right_means():
+    mix = strong_mixture()
+    batch = sample_readings(mix, ReadoutPlan(("x", "x"), 20_000, 3))
+    est = estimate_from_samples([batch])
+    for (mid, quad), moment in est.singles.items():
+        z = (moment.value - pointer_mean(mix, mid, quad)) / moment.stderr
+        assert abs(z) < 4, (mid, quad, z)
+
+
+# The kernel's products go through BLAS; seeded readings must not depend on
+# how many threads BLAS splits them over.
+THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+from tsvfsim import meter, sampling
+from tsvfsim.network import nested_mzi_preset, random_layout
+
+layout = random_layout(21, max_arms=6, max_stages=8)
+rng = np.random.default_rng(21)
+exp = meter.new_experiment(layout)
+for _ in range(10):
+    k = int(rng.integers(1, layout.n_slices - 1))
+    exp = meter.attach_meter(exp, layout.slices[k][int(rng.integers(len(layout.slices[k])))],
+                             k, 0.3, 1.0)
+dense = meter.postselect(meter.run_coupled(exp), "P_a0")
+preset = meter.new_experiment(nested_mzi_preset())
+preset = meter.attach_meter(meter.attach_meter(preset, "B", 2, 0.3, 1.0), "E", 3, 0.3, 1.0)
+preset = meter.postselect(meter.run_coupled(preset), "D2")
+for mix, quads, n in ((dense, "xpxpxpxpxp", 4096), (preset, "xp", 20000)):
+    batch = sampling.sample_readings(mix, sampling.ReadoutPlan(tuple(quads), n, 5))
+    print(len(mix.amplitudes), hashlib.sha256(batch.readings.tobytes()).hexdigest())
+"""
+
+
+def test_readings_do_not_depend_on_blas_threads():
+    src = str(Path(tsvfsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    dense_terms = int(outputs[0].split()[0])
+    assert dense_terms >= 16
+    assert outputs[0] == outputs[1]
