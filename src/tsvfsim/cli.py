@@ -180,19 +180,17 @@ def build_experiment(layout, meter_specs: list[MeterSpec]):
     for m in meter_specs:
         try:
             exp = attach_meter(exp, m.arm, m.slice_index, m.strength, m.sigma)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise CliError(f"meter {m.label()}: {exc}") from exc
     return exp
 
 
 def check_reference(layout, arm: str, slice_index: int, what: str):
     """Reject an ``arm@slice`` reference that is not on the layout."""
-    if not 0 <= slice_index < layout.n_slices:
-        raise CliError(
-            f"{what}: slice {slice_index} is out of range (0..{layout.final_slice})"
-        )
-    if arm not in layout.slices[slice_index]:
-        raise CliError(f"{what}: arm {arm!r} is not on slice {slice_index}")
+    try:
+        layout.arm_index(slice_index, arm)
+    except ValueError as exc:
+        raise CliError(f"{what}: {exc}") from exc
 
 
 def pick_port(layout, requested: str | None) -> str:
@@ -288,21 +286,16 @@ def cmd_disturbance(layout, port, meter: MeterSpec, probe: tuple[str, int],
                     sweep: tuple[float, ...], canonical: bool):
     columns = ("kind", "g", "p_probe", "p_port", "closed_form", "deviation", "pass")
     probe_arm, probe_slice = probe
+    check_reference(layout, probe_arm, probe_slice, f"probe {probe_arm}@{probe_slice}")
     base = build_experiment(layout, [MeterSpec(meter.arm, meter.slice_index,
                                                0.0, meter.sigma)])
-    try:
-        p_unperturbed = arm_probability(base, probe_arm, probe_slice)
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"probe {probe_arm}@{probe_slice}: {exc}") from exc
+    p_unperturbed = arm_probability(base, probe_arm, probe_slice)
     rows = []
     deviations = []
     for g in sweep:
         exp = build_experiment(layout, [MeterSpec(meter.arm, meter.slice_index,
                                                   g, meter.sigma)])
-        try:
-            p_probe = arm_probability(exp, probe_arm, probe_slice)
-        except (ValueError, KeyError) as exc:
-            raise CliError(f"probe {probe_arm}@{probe_slice}: {exc}") from exc
+        p_probe = arm_probability(exp, probe_arm, probe_slice)
         try:
             p_port = postselect(run_coupled(exp), port).postselection_probability
         except ZeroProbability:

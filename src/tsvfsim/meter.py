@@ -164,18 +164,14 @@ def attach_meter(
     negative strengths and non-positive widths are rejected, as are arms
     that do not exist on the given slice.
     """
-    layout = experiment.layout
-    if not 0 <= slice_index < layout.n_slices:
-        raise ValueError(f"invalid slice index {slice_index}")
-    if arm not in layout.slices[slice_index]:
-        raise ValueError(f"arm {arm!r} is not on slice {slice_index}")
+    experiment.layout.arm_index(slice_index, arm)
     if strength < 0.0:
         raise ValueError("coupling strength must be >= 0")
     meter = MeterAttachment(
         len(experiment.meters), arm, slice_index, float(strength),
         GaussianPointer(float(sigma)),
     )
-    return Experiment(layout, experiment.meters + (meter,))
+    return Experiment(experiment.layout, experiment.meters + (meter,))
 
 
 def _meter_index(meters: tuple[MeterAttachment, ...], meter_id: int) -> int:
@@ -471,11 +467,6 @@ def arm_probability(experiment: Experiment, arm: str, slice_index: int) -> float
     acting) is projected onto the arm; couplings at the target slice
     commute with the projection and cannot change the result.
     """
-    layout = experiment.layout
-    if not 0 <= slice_index < layout.n_slices:
-        raise ValueError(f"invalid slice index {slice_index}")
-    if arm not in layout.slices[slice_index]:
-        raise ValueError(f"arm {arm!r} is not on slice {slice_index}")
+    row = experiment.layout.arm_index(slice_index, arm)
     reg = _evolve(experiment, slice_index)
-    row = reg[layout.arm_index(slice_index, arm)]
-    return _moment(row, _overlaps(experiment.meters)).real
+    return _moment(reg[row], _overlaps(experiment.meters)).real

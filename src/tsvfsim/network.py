@@ -84,8 +84,6 @@ class ComponentSpec:
     angle (beamsplitters only); ``phase`` is a global phase for
     beamsplitters and the applied phase for phase plates.  ``name`` is a
     label for the text format and is ignored by structural equality.
-    ``matrix_override`` (rows x cols as nested tuples) substitutes an
-    explicit block for testing; it is not serializable.
     """
 
     kind: str
@@ -94,7 +92,6 @@ class ComponentSpec:
     theta: float = 0.0
     phase: float = 0.0
     name: str = field(default="", compare=False)
-    matrix_override: tuple[tuple[complex, ...], ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("beamsplitter", "mirror", "phase"):
@@ -111,8 +108,6 @@ class ComponentSpec:
 
     def block(self) -> np.ndarray:
         """Complex block of shape (len(outputs), len(inputs))."""
-        if self.matrix_override is not None:
-            return np.array(self.matrix_override, dtype=complex)
         if self.kind == "beamsplitter":
             if self.theta == BALANCED_ANGLE:
                 # cos(pi/4) and sin(pi/4) round to values 1 ulp apart; a
@@ -163,11 +158,18 @@ class NetworkLayout:
         return len(self.slices) - 1
 
     def arms_at(self, slice_index: int) -> tuple[str, ...]:
+        """The arms of one slice; ``ValueError`` outside ``0..final_slice``
+        (a negative index does not wrap)."""
+        if not 0 <= slice_index < len(self.slices):
+            raise ValueError(f"invalid slice index {slice_index} (0..{self.final_slice})")
         return self.slices[slice_index]
 
     def arm_index(self, slice_index: int, arm: str) -> int:
+        """Position of ``arm`` on a slice; ``ValueError`` if the slice is out
+        of range or the arm is not on it."""
+        arms = self.arms_at(slice_index)
         try:
-            return self.slices[slice_index].index(arm)
+            return arms.index(arm)
         except ValueError:
             raise ValueError(f"arm {arm!r} is not on slice {slice_index}") from None
 
@@ -218,79 +220,91 @@ def validate_network(layout: NetworkLayout) -> list[str]:
     """Check every structural invariant; return a list of violation messages.
 
     An empty list means the layout is valid.  Checks cover arm naming,
-    slice coverage (each input arm consumed exactly once, each output arm
+    stage numbering (the stage at position k must have index k), slice
+    coverage (each input arm consumed exactly once, each output arm
     produced exactly once), source/port wiring, and numeric
     norm-preservation ``max|U†U - I| < 1e-12`` of every stage matrix.
     """
-    report: list[str] = []
+    return [message for message, _ in _violations(layout)]
+
+
+def _violations(layout: NetworkLayout) -> list[tuple[str, tuple | None]]:
+    """The checks of :func:`validate_network`, each message paired with its
+    site: ``("source",)``, ``("port", i)``, ``("slice", k)``, ``("stage",
+    k)``, ``("element", k, i)`` for element i of the stage at position k
+    (its components, then its pass-through arms), or None."""
+    report: list[tuple[str, tuple | None]] = []
+
+    def add(message: str, site: tuple | None = None):
+        report.append((message, site))
+
     if not layout.slices:
-        return ["layout has no slices"]
-    if len(layout.stages) != len(layout.slices) - 1:
-        report.append(
-            f"{len(layout.slices)} slices need {len(layout.slices) - 1} stages, "
-            f"found {len(layout.stages)}"
-        )
+        return [("layout has no slices", None)]
+    n_stages = len(layout.slices) - 1
     for k, arms in enumerate(layout.slices):
         if not arms:
-            report.append(f"slice {k} is empty")
+            add(f"slice {k} is empty", ("slice", k))
         for arm in arms:
             msg = _check_arm_name(arm)
             if msg:
-                report.append(f"slice {k}: {msg}")
-        dupes = [a for a, c in Counter(arms).items() if c > 1]
-        for a in dupes:
-            report.append(f"arm {a} listed twice on slice {k}")
+                add(f"slice {k}: {msg}", ("slice", k))
+        for a, c in Counter(arms).items():
+            if c > 1:
+                add(f"arm {a} listed twice on slice {k}", ("slice", k))
 
     if layout.source not in layout.slices[0]:
-        report.append(f"source arm {layout.source!r} is not on slice 0")
+        add(f"source arm {layout.source!r} is not on slice 0", ("source",))
 
-    port_names = [name for name, _ in layout.detector_ports]
-    for name, c in Counter(port_names).items():
-        if c > 1:
-            report.append(f"detector port {name} declared twice")
-    port_arms = [arm for _, arm in layout.detector_ports]
-    for name, arm in layout.detector_ports:
+    names: Counter[str] = Counter()
+    targets: Counter[str] = Counter()
+    for i, (name, arm) in enumerate(layout.detector_ports):
+        names[name] += 1
+        targets[arm] += 1
+        if names[name] == 2:
+            add(f"detector port {name} declared twice", ("port", i))
         if arm not in layout.slices[-1]:
-            report.append(f"detector port {name} targets {arm!r}, not a final-slice arm")
-    for arm, c in Counter(port_arms).items():
-        if c > 1:
-            report.append(f"arm {arm} is targeted by more than one detector port")
+            add(f"detector port {name} targets {arm!r}, not a final-slice arm", ("port", i))
+        if targets[arm] == 2:
+            add(f"arm {arm} is targeted by more than one detector port", ("port", i))
 
-    for stage in layout.stages[: len(layout.slices) - 1]:
-        k = stage.index
+    # stage_unitary reads the stage at position k as the map from slice k
+    # to slice k + 1, so every check below goes by position.
+    for k, stage in enumerate(layout.stages):
+        if not 0 <= stage.index < n_stages:
+            add(f"stage {stage.index} out of range (0..{n_stages - 1})", ("stage", k))
+        elif stage.index != k:
+            add(f"stage {stage.index} listed at position {k}", ("stage", k))
+    if len(layout.stages) != n_stages:
+        add(f"{len(layout.slices)} slices need {n_stages} stages, found {len(layout.stages)}")
+
+    for k, stage in enumerate(layout.stages[:n_stages]):
         ins, outs = layout.slices[k], layout.slices[k + 1]
         consumed: Counter[str] = Counter()
         produced: Counter[str] = Counter()
-        for comp in stage.components:
-            for arm in comp.inputs:
+        elements = [(c.inputs, c.outputs, "input", "output") for c in stage.components]
+        elements += [((a,), (a,), "pass-through", "pass-through") for a in stage.pass_through]
+        for i, (inputs, outputs, in_role, out_role) in enumerate(elements):
+            site = ("element", k, i)
+            for arm in inputs:
                 if arm not in ins:
-                    report.append(f"stage {k}: input arm {arm!r} is not on slice {k}")
+                    add(f"stage {k}: {in_role} arm {arm!r} is not on slice {k}", site)
                 consumed[arm] += 1
-            for arm in comp.outputs:
+                if consumed[arm] == 2:
+                    add(f"arm {arm} double-consumed at stage {k}", site)
+            for arm in outputs:
                 if arm not in outs:
-                    report.append(f"stage {k}: output arm {arm!r} is not on slice {k + 1}")
+                    add(f"stage {k}: {out_role} arm {arm!r} is not on slice {k + 1}", site)
                 produced[arm] += 1
-        for arm in stage.pass_through:
-            if arm not in ins:
-                report.append(f"stage {k}: pass-through arm {arm!r} is not on slice {k}")
-            if arm not in outs:
-                report.append(f"stage {k}: pass-through arm {arm!r} is not on slice {k + 1}")
-            consumed[arm] += 1
-            produced[arm] += 1
-        for arm, c in consumed.items():
-            if c > 1:
-                report.append(f"arm {arm} double-consumed at stage {k}")
-        for arm, c in produced.items():
-            if c > 1:
-                report.append(f"arm {arm} produced twice at stage {k}")
+                if produced[arm] == 2:
+                    add(f"arm {arm} produced twice at stage {k}", site)
         for arm in ins:
-            if consumed[arm] == 0:
-                report.append(
-                    f"arm {arm} at slice {k} is neither consumed nor passed through"
-                )
+            if not consumed[arm]:
+                add(f"arm {arm} at slice {k} is neither consumed nor passed through",
+                    ("slice", k))
         for arm in outs:
-            if produced[arm] == 0:
-                report.append(f"arm {arm} at slice {k + 1} is never produced by stage {k}")
+            if not produced[arm]:
+                add(f"arm {arm} at slice {k + 1} is never produced by stage {k}",
+                    ("slice", k + 1))
 
     if not report:
         for k in range(len(layout.stages)):
@@ -298,9 +312,8 @@ def validate_network(layout: NetworkLayout) -> list[str]:
             gram = u.conj().T @ u
             dev = float(np.max(np.abs(gram - np.eye(u.shape[1]))))
             if dev >= UNITARITY_TOL:
-                report.append(
-                    f"stage {k} is not norm-preserving (max|U†U - I| = {dev:.3e})"
-                )
+                add(f"stage {k} is not norm-preserving (max|U†U - I| = {dev:.3e})",
+                    ("stage", k))
     return report
 
 
@@ -324,11 +337,6 @@ def stage_unitary(layout: NetworkLayout, stage_index: int) -> np.ndarray:
     u = np.zeros((len(outs), len(ins)), dtype=complex)
     for comp in stage.components:
         block = comp.block()
-        if block.shape != (len(comp.outputs), len(comp.inputs)):
-            raise ValueError(
-                f"stage {stage_index}: component {comp.name or comp.kind} block shape "
-                f"{block.shape} does not match its port counts"
-            )
         for r, out_arm in enumerate(comp.outputs):
             for c, in_arm in enumerate(comp.inputs):
                 u[outs.index(out_arm), ins.index(in_arm)] = block[r, c]
@@ -355,18 +363,17 @@ def propagate(state: PathState, layout: NetworkLayout, to_slice: int) -> PathSta
     -------
     PathState on ``to_slice``.
     """
-    if state.arms != layout.slices[state.slice_index]:
+    if state.arms != layout.arms_at(state.slice_index):
         raise ValueError(
             f"state arms {state.arms} do not match slice {state.slice_index}"
         )
-    if not 0 <= to_slice < layout.n_slices:
-        raise ValueError(f"invalid slice index {to_slice}")
+    arms = layout.arms_at(to_slice)
     if to_slice < state.slice_index:
         raise ValueError("propagate only runs forward; use a backward state instead")
     vec = np.asarray(state.amplitudes, dtype=complex)
     for k in range(state.slice_index, to_slice):
         vec = stage_unitary(layout, k) @ vec
-    return PathState(to_slice, layout.slices[to_slice], vec)
+    return PathState(to_slice, arms, vec)
 
 
 # Slice indices of the two weak-coupling times in the nested preset.
@@ -474,8 +481,11 @@ def random_layout(seed: int, max_arms: int = 5, max_stages: int = 5) -> NetworkL
 #   pass stage=<k> arm=<a>
 #   detector <port>=<arm>
 #
-# '#' starts a comment. Arms must be declared before use; every input arm
-# of a stage must be consumed exactly once (component or pass line).
+# '#' starts a comment. Arms must be declared before use. The structural
+# rules (stage k consumes each arm of slice k once and produces each arm of
+# slice k + 1 once, the source is on slice 0, each detector on its own
+# final-slice arm) are validate_network's; a violation is reported at the
+# line of the directive it concerns.
 
 _TOKEN_RE = re.compile(r"\S+")
 _KV_RE = re.compile(r"^([A-Za-z_]+)=(.*)$")
@@ -548,7 +558,10 @@ def parse_network(text: str) -> NetworkLayout:
     NetworkParseError
         On any syntax or consistency problem, reporting the 1-based line
         and column (e.g. an undeclared arm is named together with the line
-        that references it).
+        that references it).  Structural problems are the first violation
+        :func:`validate_network` finds in the parsed layout, reported at the
+        line of the offending directive (a component or ``pass`` line, a
+        ``slice``, ``source`` or ``detector`` line) and column 1.
     """
     declared: dict[str, int] = {}
     slices: dict[int, tuple[list[str], int]] = {}
@@ -715,80 +728,32 @@ def parse_network(text: str) -> NetworkLayout:
     if not detectors:
         _fail("missing detector declaration", *end)
 
-    slice_arms = tuple(tuple(slices[k][0]) for k in range(n_slices))
-    if source[0] not in slice_arms[0]:
-        _fail(f"source arm {source[0]!r} is not on slice 0", source[1], 1)
-    for port, arm, lineno in detectors:
-        if arm not in slice_arms[-1]:
-            _fail(f"detector port {port} targets {arm!r}, not a final-slice arm",
-                  lineno, 1)
-
-    n_stages = n_slices - 1
-    for stage, comp, lineno in components:
-        if not 0 <= stage < n_stages:
-            _fail(f"stage {stage} out of range (0..{n_stages - 1})", lineno, 1)
-    for stage, arm, lineno in passes:
-        if not 0 <= stage < n_stages:
-            _fail(f"stage {stage} out of range (0..{n_stages - 1})", lineno, 1)
-
-    # Per-stage consumption bookkeeping with line attribution.
-    for k in range(n_stages):
-        ins, outs = slice_arms[k], slice_arms[k + 1]
-        consumed: dict[str, int] = {}
-        produced: dict[str, int] = {}
-        for stage, comp, lineno in components:
-            if stage != k:
-                continue
-            for arm in comp.inputs:
-                if arm not in ins:
-                    _fail(f"arm {arm!r} is not on slice {k}", lineno, 1)
-                if arm in consumed:
-                    _fail(f"arm {arm} double-consumed at stage {k}", lineno, 1)
-                consumed[arm] = lineno
-            for arm in comp.outputs:
-                if arm not in outs:
-                    _fail(f"arm {arm!r} is not on slice {k + 1}", lineno, 1)
-                if arm in produced:
-                    _fail(f"arm {arm} produced twice at stage {k}", lineno, 1)
-                produced[arm] = lineno
-        for stage, arm, lineno in passes:
-            if stage != k:
-                continue
-            if arm not in ins or arm not in outs:
-                _fail(f"pass-through arm {arm!r} must be on slices {k} and {k + 1}",
-                      lineno, 1)
-            if arm in consumed:
-                _fail(f"arm {arm} double-consumed at stage {k}", lineno, 1)
-            if arm in produced:
-                _fail(f"arm {arm} produced twice at stage {k}", lineno, 1)
-            consumed[arm] = produced[arm] = lineno
-        for arm in ins:
-            if arm not in consumed:
-                _fail(
-                    f"arm {arm} at slice {k} is neither consumed nor passed through",
-                    slices[k][1], 1,
-                )
-        for arm in outs:
-            if arm not in produced:
-                _fail(f"arm {arm} at slice {k + 1} is never produced by stage {k}",
-                      slices[k + 1][1], 1)
+    # the directive line of every site _violations can name
+    lines = {("source",): source[1]}
+    lines.update((("slice", k), line) for k, (_, line) in slices.items())
+    lines.update((("port", i), line) for i, (_, _, line) in enumerate(detectors))
+    # Stages out of range are kept (sorted by their number) so that
+    # _violations reports them at their own line.
+    stage_numbers = set(range(n_slices - 1)).union(s for s, _, _ in components + passes)
+    stages = []
+    for pos, k in enumerate(sorted(stage_numbers)):
+        comps = [(c, line) for s, c, line in components if s == k]
+        through = [(a, line) for s, a, line in passes if s == k]
+        stages.append(Stage(k, tuple(c for c, _ in comps), tuple(a for a, _ in through)))
+        for i, (_, line) in enumerate(comps + through):
+            lines[("element", pos, i)] = line
+            lines.setdefault(("stage", pos), line)
 
     layout = NetworkLayout(
-        slices=slice_arms,
-        stages=tuple(
-            Stage(
-                k,
-                tuple(c for s, c, _ in components if s == k),
-                tuple(a for s, a, _ in passes if s == k),
-            )
-            for k in range(n_stages)
-        ),
+        slices=tuple(tuple(slices[k][0]) for k in range(n_slices)),
+        stages=tuple(stages),
         source=source[0],
         detector_ports=tuple((port, arm) for port, arm, _ in detectors),
     )
-    problems = validate_network(layout)
+    problems = _violations(layout)
     if problems:
-        _fail("; ".join(problems), 1, 1)
+        message, site = problems[0]
+        _fail(message, lines.get(site, 1), 1)
     return layout
 
 
@@ -797,8 +762,7 @@ def serialize_network(layout: NetworkLayout) -> str:
 
     Slices, components, parameters and port wiring round-trip exactly
     (floats are written in shortest round-trip decimal form); pass-through
-    arms get explicit ``pass`` lines.  Layouts carrying matrix overrides
-    are not serializable.
+    arms get explicit ``pass`` lines.
     """
     lines: list[str] = []
     seen: list[str] = []
@@ -812,8 +776,6 @@ def serialize_network(layout: NetworkLayout) -> str:
     lines.append(f"source {layout.source}")
     for stage in layout.stages:
         for i, comp in enumerate(stage.components):
-            if comp.matrix_override is not None:
-                raise ValueError("matrix overrides are not serializable")
             if comp.kind == "beamsplitter":
                 name = comp.name or f"BS{stage.index}_{i}"
                 lines.append(

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meter import Experiment, ZeroProbability, pointer_corr, pointer_mean, postselect, run_coupled, zeta_corr
+from .meter import (ZERO_PROBABILITY_TOL, Experiment, ZeroProbability, pointer_corr,
+                    pointer_mean, postselect, run_coupled, zeta_corr)
 from .meter import arm_probability as analytic_arm_probability
 from .network import serialize_network, stage_unitary
 
@@ -203,13 +204,14 @@ def grid_run(experiment: Experiment, spec: GridSpec | None = None,
     GridTooSmall
         If the grid cannot represent the initial packet to 1e-10 or is
         narrower than 6 sigma + 2 g for some meter.
+    ValueError
+        If ``to_slice`` is not a slice of the layout.
     """
     spec = spec or default_grid(experiment)
     layout = experiment.layout
     if to_slice is None:
         to_slice = layout.final_slice
-    if not 0 <= to_slice < layout.n_slices:
-        raise ValueError(f"invalid slice index {to_slice}")
+    layout.arms_at(to_slice)
     state = _evolve(experiment, spec, to_slice)
     return GridState(to_slice, experiment, spec, state)
 
@@ -245,7 +247,7 @@ def grid_moments(state: GridState, port: str) -> dict[str, float]:
     values: dict[str, float] = {"probability": prob}
     if m == 0:
         return values
-    if prob < 1e-300:
+    if prob < ZERO_PROBABILITY_TOL:
         raise ZeroProbability(f"port {port!r} fires with probability {prob:.3e}")
 
     x = state.spec.axis

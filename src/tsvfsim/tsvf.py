@@ -109,11 +109,6 @@ class WeakValueResult:
     postselection_amplitude: complex
 
 
-def _check_slice(layout: NetworkLayout, slice_index: int):
-    if not 0 <= slice_index < layout.n_slices:
-        raise ValueError(f"invalid slice index {slice_index}")
-
-
 def _forward_kets(layout: NetworkLayout) -> list[np.ndarray]:
     ket = np.zeros(len(layout.slices[0]), dtype=complex)
     ket[layout.arm_index(0, layout.source)] = 1.0
@@ -134,8 +129,7 @@ def _backward_bras(layout: NetworkLayout, port: str) -> list[np.ndarray]:
 
 def forward_state(layout: NetworkLayout, slice_index: int) -> PathState:
     """Source amplitude 1 propagated forward to ``slice_index``."""
-    _check_slice(layout, slice_index)
-    return PathState(slice_index, layout.slices[slice_index],
+    return PathState(slice_index, layout.arms_at(slice_index),
                      _forward_kets(layout)[slice_index])
 
 
@@ -146,8 +140,7 @@ def backward_state(layout: NetworkLayout, port: str, slice_index: int) -> CoStat
     pulling back one stage multiplies by the stage matrix from the left
     (plain transpose, no conjugation).
     """
-    _check_slice(layout, slice_index)
-    return CoState(slice_index, layout.slices[slice_index],
+    return CoState(slice_index, layout.arms_at(slice_index),
                    _backward_bras(layout, port)[slice_index])
 
 
@@ -189,7 +182,6 @@ class TwoStateSweep:
         """See :func:`weak_value`."""
         amp = self._checked_amplitude()
         k = projector.slice_index
-        _check_slice(self.layout, k)
         idx = self.layout.arm_index(k, projector.arm)
         numerator = complex(self.bras[k][idx] * self.kets[k][idx])
         return WeakValueResult(numerator / amp, numerator, amp)
@@ -197,17 +189,17 @@ class TwoStateSweep:
     def sequential_weak_value(self, chain: ProjectorChain) -> WeakValueResult:
         """See :func:`sequential_weak_value`."""
         amp = self._checked_amplitude()
-        current = chain.projectors[0].slice_index
-        _check_slice(self.layout, current)
-        vec = self.kets[current]
+        current = None
         for proj in chain.projectors:
-            if proj.slice_index != current:
+            keep = self.layout.arm_index(proj.slice_index, proj.arm)
+            if current is None:
+                vec = self.kets[proj.slice_index]
+            else:
                 vec = propagate(
                     PathState(current, self.layout.slices[current], vec), self.layout,
                     proj.slice_index,
                 ).amplitudes
-                current = proj.slice_index
-            keep = self.layout.arm_index(current, proj.arm)
+            current = proj.slice_index
             mask = np.zeros_like(vec)
             mask[keep] = vec[keep]
             vec = mask

@@ -114,6 +114,8 @@ def test_sequential_marginal_groups_chains_by_slice(capsys):
     ("sequential", "--chain", "Z@2,E@3"),
     ("sequential", "--chain", "B@9"),
     ("meter-sweep", "--meter", "Z@2"),
+    ("disturbance", "--probe", "Z@3"),
+    ("disturbance", "--probe", "E@9"),
 ])
 def test_unknown_arm_or_slice_reference_exits_2(argv, capsys):
     code, _, err = run_cli(*argv, capsys=capsys)

@@ -5,6 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from tsvfsim.meter import (
+    Experiment,
+    GaussianPointer,
+    MeterAttachment,
+    arm_probability,
+    attach_meter,
+    new_experiment,
+)
 from tsvfsim.network import (
     BALANCED_ANGLE,
     ComponentSpec,
@@ -22,6 +30,15 @@ from tsvfsim.network import (
     serialize_network,
     stage_unitary,
     validate_network,
+)
+from tsvfsim.oracle import grid_run
+from tsvfsim.tsvf import (
+    ArmProjector,
+    ProjectorChain,
+    backward_state,
+    forward_state,
+    sequential_weak_value,
+    weak_value,
 )
 
 R = math.sqrt(0.5)
@@ -113,6 +130,46 @@ def test_propagate_is_forward_only(preset):
         propagate(state, preset, 1)
 
 
+# arm@slice references that are not on the preset: a slice past the last
+# one, a negative slice (which must not wrap to the end), an arm on no slice.
+BAD_REFERENCES = {"slice_past_end": ("N", 5), "negative_slice": ("N", -1),
+                  "unknown_arm": ("Z", 2)}
+
+
+def _metered(layout, arm, k):
+    # built without attach_meter, so only the grid evolution checks the arm
+    return Experiment(layout, (MeterAttachment(0, arm, k, 0.1, GaussianPointer(1.0)),))
+
+
+# Each entry point called with the reference (arm, k); the last three take a
+# slice only and get the two slice cases.
+REFERENCE_LOOKUPS = {
+    "attach_meter": lambda L, arm, k: attach_meter(new_experiment(L), arm, k, 0.1, 1.0),
+    "arm_probability": lambda L, arm, k: arm_probability(new_experiment(L), arm, k),
+    "weak_value": lambda L, arm, k: weak_value(L, "D2", ArmProjector(arm, k)),
+    "sequential_weak_value": lambda L, arm, k: sequential_weak_value(
+        L, "D2", ProjectorChain.of((arm, k))),
+    "propagate": lambda L, arm, k: propagate(PathState(k, (arm,), (1.0 + 0j,)), L, 4),
+    "grid_run": lambda L, arm, k: grid_run(_metered(L, arm, k), to_slice=k),
+    "forward_state": lambda L, arm, k: forward_state(L, k),
+    "backward_state": lambda L, arm, k: backward_state(L, "D2", k),
+    "propagate_to": lambda L, arm, k: propagate(PathState(0, ("in",), (1.0 + 0j,)), L, k),
+}
+SLICE_ONLY = ("forward_state", "backward_state", "propagate_to")
+
+
+@pytest.mark.parametrize("lookup,reference", [
+    pytest.param(lookup, ref, id=f"{name}-{case}")
+    for name, lookup in REFERENCE_LOOKUPS.items()
+    for case, ref in BAD_REFERENCES.items()
+    if not (name in SLICE_ONLY and case == "unknown_arm")
+])
+def test_bad_reference_raises_value_error(lookup, reference, preset):
+    arm, k = reference
+    with pytest.raises(ValueError, match=r"invalid slice index|is not on slice|do not match"):
+        lookup(preset, arm, k)
+
+
 def test_beamsplitter_block_convention():
     theta, phi = 0.3, 1.1
     block = beamsplitter("b", ("a", "b"), ("c", "d"), theta, phi).block()
@@ -178,14 +235,34 @@ def test_validate_reports_unconsumed_arm():
     assert "arm d at slice 1 is never produced by stage 0" in report
 
 
-def test_validate_reports_norm_violation_from_tampered_matrix():
-    bad = ComponentSpec(
-        "beamsplitter", ("a", "b"), ("c", "d"),
-        matrix_override=((0.9, 0.1j), (0.1j, 0.9)),
-    )
+def test_validate_reports_norm_violation_from_tampered_matrix(monkeypatch):
+    monkeypatch.setattr(ComponentSpec, "block",
+                        lambda self: np.array([[0.9, 0.1j], [0.1j, 0.9]]))
+    bad = beamsplitter("x", ("a", "b"), ("c", "d"))
     report = validate_network(_tiny_layout((Stage(0, (bad,)),)))
     assert len(report) == 1
     assert report[0].startswith("stage 0 is not norm-preserving")
+
+
+def test_validate_checks_each_stage_at_its_position():
+    # stage_unitary reads the stage at position k as slice k -> k + 1;
+    # a Stage.index that disagrees is a violation, not a crash
+    lone = NetworkLayout(
+        slices=(("a",), ("b",)),
+        stages=(Stage(3, (mirror("m", "a", "b"),)),),
+        source="a",
+        detector_ports=(("P", "b"),),
+    )
+    assert validate_network(lone) == ["stage 3 out of range (0..0)"]
+    swapped = NetworkLayout(
+        slices=(("a",), ("b",), ("c",)),
+        stages=(Stage(1, (mirror("n", "b", "c"),)), Stage(0, (mirror("m", "a", "b"),))),
+        source="a",
+        detector_ports=(("P", "c"),),
+    )
+    report = validate_network(swapped)
+    assert report[:2] == ["stage 1 listed at position 0", "stage 0 listed at position 1"]
+    assert "stage 0: input arm 'b' is not on slice 0" in report
 
 
 def test_validate_reports_bad_ports():
@@ -271,16 +348,6 @@ def test_random_layout_round_trips(seed):
         )
 
 
-def test_serialize_rejects_matrix_overrides():
-    bad = ComponentSpec(
-        "beamsplitter", ("a", "b"), ("c", "d"),
-        matrix_override=((R, 1j * R), (1j * R, R)),
-    )
-    layout = _tiny_layout((Stage(0, (bad,)),))
-    with pytest.raises(ValueError, match="not serializable"):
-        serialize_network(layout)
-
-
 @pytest.mark.parametrize("text,line,fragment", [
     ("arm\n", 1, "usage: arm <name>"),
     ("arm a\nslice zero: a\n", 2, "usage: slice <k>:"),
@@ -296,6 +363,63 @@ def test_parse_errors_carry_position(text, line, fragment):
     assert err.value.line == line
     assert fragment in str(err.value)
     assert f"line {line}," in str(err.value)
+
+
+# Stage 0 splits s onto A, B and passes N; stage 1 recombines A, B onto
+# C, D and passes N again.  Each case below breaks one structural rule.
+WIRED = """arm s
+arm N
+arm A
+arm B
+arm C
+arm D
+arm Z
+slice 0: s, N
+slice 1: A, B, N
+slice 2: C, D, N
+source s
+bs split stage=0 in=s out=A,B
+pass stage=0 arm=N
+bs merge stage=1 in=A,B out=C,D
+pass stage=1 arm=N
+detector P1=C
+detector P2=D
+detector P3=N
+"""
+
+
+@pytest.mark.parametrize("old,new,line,fragment", [
+    ("pass stage=1 arm=N\n", "pass stage=1 arm=N\nmirror m stage=1 in=A out=N\n",
+     16, "arm A double-consumed at stage 1"),
+    ("pass stage=1 arm=N\n", "mirror m stage=1 in=N out=C\n",
+     15, "arm C produced twice at stage 1"),
+    ("pass stage=1 arm=N\n", "mirror m stage=1 in=s out=N\n",
+     15, "input arm 's' is not on slice 1"),
+    ("pass stage=1 arm=N\n", "mirror m stage=1 in=N out=s\n",
+     15, "output arm 's' is not on slice 2"),
+    ("pass stage=1 arm=N\n", "pass stage=1 arm=N\npass stage=1 arm=s\n",
+     16, "pass-through arm 's' is not on slice 1"),
+    ("pass stage=1 arm=N\n", "",
+     9, "arm N at slice 1 is neither consumed nor passed through"),
+    ("slice 2: C, D, N", "slice 2: C, D, N, Z",
+     10, "arm Z at slice 2 is never produced by stage 1"),
+    ("source s", "source A", 11, "source arm 'A' is not on slice 0"),
+    ("detector P3=N", "detector P3=A", 18, "targets 'A', not a final-slice arm"),
+    ("pass stage=1 arm=N", "pass stage=2 arm=N", 15, "stage 2 out of range (0..1)"),
+    ("pass stage=1 arm=N", "pass stage=-1 arm=N", 15, "stage -1 out of range (0..1)"),
+    ("detector P3=N", "detector P3=C",
+     18, "arm C is targeted by more than one detector port"),
+], ids=["double_consumption", "double_production", "input_off_slice",
+        "output_off_slice", "pass_off_slice", "unconsumed", "unproduced",
+        "source_off_slice", "detector_off_slice", "stage_past_end",
+        "negative_stage", "two_ports_one_arm"])
+def test_structural_errors_point_at_their_directive(old, new, line, fragment):
+    assert validate_network(parse_network(WIRED)) == []
+    assert old in WIRED
+    with pytest.raises(NetworkParseError) as err:
+        parse_network(WIRED.replace(old, new))
+    assert (err.value.line, err.value.column) == (line, 1)
+    assert fragment in str(err.value)
 
 
 def test_parse_error_column_points_at_token():
