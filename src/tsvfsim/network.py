@@ -167,11 +167,7 @@ class NetworkLayout:
     def arm_index(self, slice_index: int, arm: str) -> int:
         """Position of ``arm`` on a slice; ``ValueError`` if the slice is out
         of range or the arm is not on it."""
-        arms = self.arms_at(slice_index)
-        try:
-            return arms.index(arm)
-        except ValueError:
-            raise ValueError(f"arm {arm!r} is not on slice {slice_index}") from None
+        return _arm_position(self.arms_at(slice_index), arm, slice_index)
 
     def port_arm(self, port: str) -> str:
         for name, arm in self.detector_ports:
@@ -188,6 +184,12 @@ class NetworkLayout:
         return [None] * len(self.stages)
 
 
+def _arm_position(arms: tuple[str, ...], arm: str, slice_index: int) -> int:
+    if arm not in arms:
+        raise ValueError(f"arm {arm!r} is not on slice {slice_index}")
+    return arms.index(arm)
+
+
 @dataclass(frozen=True, eq=False)
 class PathState:
     """Amplitude vector over the arms of one slice."""
@@ -197,7 +199,7 @@ class PathState:
     amplitudes: np.ndarray
 
     def amplitude(self, arm: str) -> complex:
-        return complex(self.amplitudes[self.arms.index(arm)])
+        return complex(self.amplitudes[_arm_position(self.arms, arm, self.slice_index)])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -497,9 +499,12 @@ def _fail(msg: str, line: int, col: int):
 
 def _parse_float(text: str, line: int, col: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         _fail(f"invalid number {text!r}", line, col)
+    if not math.isfinite(value):
+        _fail(f"non-finite number {text!r}", line, col)
+    return value
 
 
 def _parse_int(text: str, line: int, col: int) -> int:

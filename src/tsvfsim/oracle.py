@@ -4,13 +4,18 @@ Everything the closed-form pointer algebra produces (probabilities, means,
 correlators) is recomputed here the slow honest way: each pointer lives on
 a uniform position grid, couplings displace wavefunctions (exact index
 shift when the strength is a whole number of grid steps, spectral shift
-otherwise), momentum moments come from FFT derivatives.  Agreement between
+otherwise), and every moment is a mean over a density: the position
+density, or the density of the wavefunction Fourier-transformed along the
+meter axes whose momentum it needs (discrete Parseval).  Agreement between
 the two routes within tight tolerances is the main correctness check of
-the analytic path.
+the analytic path.  Only the pointer half is independent: the grid
+evolution applies the same stage matrices (``network.stage_unitary``) as
+the closed-form route, so a wrong stage matrix would pass both.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -86,7 +91,7 @@ class GridState:
     def norm(self) -> float:
         h = self.spec.spacing
         m = len(self.experiment.meters)
-        return math.sqrt(float(np.sum(np.abs(self.array) ** 2)) * h ** m)
+        return math.sqrt(float(np.vdot(self.array, self.array).real) * h ** m)
 
 
 def _initial_pointer(sigma: float, spec: GridSpec) -> np.ndarray:
@@ -123,16 +128,9 @@ def _displace(arr: np.ndarray, axis: int, g: float, spec: GridSpec) -> np.ndarra
     freq = 2.0 * math.pi * np.fft.fftfreq(arr.shape[axis], d=spec.spacing)
     shape = [1] * arr.ndim
     shape[axis] = arr.shape[axis]
-    phase = np.exp(-1j * freq * g).reshape(shape)
-    return np.fft.ifft(np.fft.fft(arr, axis=axis) * phase, axis=axis)
-
-
-def _momentum_apply(arr: np.ndarray, axis: int, spec: GridSpec) -> np.ndarray:
-    """Apply p = -i d/dx along one grid axis (spectral derivative)."""
-    freq = 2.0 * math.pi * np.fft.fftfreq(arr.shape[axis], d=spec.spacing)
-    shape = [1] * arr.ndim
-    shape[axis] = arr.shape[axis]
-    return np.fft.ifft(np.fft.fft(arr, axis=axis) * freq.reshape(shape), axis=axis)
+    spectrum = np.fft.fft(arr, axis=axis)
+    spectrum *= np.exp(-1j * freq * g).reshape(shape)
+    return np.fft.ifft(spectrum, axis=axis)
 
 
 def _check_spec(experiment: Experiment, spec: GridSpec):
@@ -151,15 +149,12 @@ def _evolve(experiment: Experiment, spec: GridSpec, to_slice: int,
     meters = experiment.meters
     _check_spec(experiment, spec)
     pointers = [_initial_pointer(m.sigma, spec) for m in meters]
-    state = np.zeros((len(layout.slices[0]),) + (spec.points,) * len(meters),
-                     dtype=complex)
-    seed_idx = (layout.arm_index(0, layout.source),) + (slice(None),) * len(meters)
-    packet = np.ones((), dtype=complex)
-    for phi in reversed(pointers):
-        packet = np.multiply.outer(phi, packet)
-    state[seed_idx] = packet
-
-    h = spec.spacing
+    # one buffer for the largest slice; each stage acts on the arm axis alone,
+    # so it runs in place over chunks of grid columns
+    buf = np.zeros((max(map(len, layout.slices)),) + (spec.points,) * len(meters), dtype=complex)
+    columns = buf.reshape(len(buf), -1)
+    state = buf[:len(layout.slices[0])]
+    state[layout.arm_index(0, layout.source)] = functools.reduce(np.multiply.outer, pointers, 1.0)
 
     def couple(at_slice: int):
         for j, meter in enumerate(meters):
@@ -171,17 +166,17 @@ def _evolve(experiment: Experiment, spec: GridSpec, to_slice: int,
     def record(at_slice: int):
         if marginals is None:
             return
-        weights = h ** len(meters)
+        weights = spec.spacing ** len(meters)
         for i, arm in enumerate(layout.slices[at_slice]):
-            marginals[(at_slice, arm)] = float(
-                np.sum(np.abs(state[i]) ** 2) * weights
-            )
+            marginals[(at_slice, arm)] = float(np.vdot(state[i], state[i]).real) * weights
 
     couple(0)
     record(0)
     for k in range(to_slice):
         u = stage_unitary(layout, k)
-        state = np.tensordot(u, state, axes=(1, 0))
+        for lo in range(0, columns.shape[1], 1 << 16):
+            columns[:u.shape[0], lo:lo + (1 << 16)] = u @ columns[:u.shape[1], lo:lo + (1 << 16)]
+        state = buf[:u.shape[0]]
         couple(k + 1)
         record(k + 1)
     return state
@@ -221,9 +216,8 @@ def grid_arm_probability(experiment: Experiment, arm: str, slice_index: int,
     """Grid-route counterpart of :func:`tsvfsim.meter.arm_probability`."""
     state = grid_run(experiment, spec, to_slice=slice_index)
     layout = experiment.layout
-    idx = layout.arm_index(slice_index, arm)
-    h = state.spec.spacing ** len(experiment.meters)
-    return float(np.sum(np.abs(state.array[idx]) ** 2) * h)
+    row = state.array[layout.arm_index(slice_index, arm)]
+    return float(np.vdot(row, row).real) * state.spec.spacing ** len(experiment.meters)
 
 
 def grid_moments(state: GridState, port: str) -> dict[str, float]:
@@ -240,54 +234,57 @@ def grid_moments(state: GridState, port: str) -> dict[str, float]:
         raise ValueError("moments need the final-slice state")
     meters = exp.meters
     m = len(meters)
-    h = state.spec.spacing
-    weight = h ** m
+    weight = state.spec.spacing ** m
     chi = state.array[layout.arm_index(layout.final_slice, layout.port_arm(port))]
-    prob = float(np.sum(np.abs(chi) ** 2) * weight)
+    prob = float(np.vdot(chi, chi).real) * weight
     values: dict[str, float] = {"probability": prob}
     if m == 0:
         return values
     if prob < ZERO_PROBABILITY_TOL:
         raise ZeroProbability(f"port {port!r} fires with probability {prob:.3e}")
 
+    # Every moment is a mean over a density: |chi|^2 for x, and for p_j the
+    # density of chi Fourier-transformed along axis j, where p_j acts as the
+    # spectral momentum k_j and discrete Parseval adds a factor 1/N per axis.
     x = state.spec.axis
+    k = 2.0 * math.pi * np.fft.fftfreq(x.size, d=state.spec.spacing)
+    kn = k / x.size
 
-    def axis_x(arr, j):
-        shape = [1] * m
-        shape[j] = state.spec.points
-        return arr * x.reshape(shape)
+    def mean(density, *factors):
+        for axis, vector in sorted(factors, reverse=True):
+            density = np.moveaxis(density, axis, -1) @ vector
+        return float(np.sum(density)) * weight / prob
 
-    def axis_p(arr, j):
-        return _momentum_apply(arr, j, state.spec)
+    def density(arr):
+        rho = np.abs(arr)
+        return np.multiply(rho, rho, out=rho)
 
-    def inner(a, b) -> complex:
-        return complex(np.sum(np.conj(a) * b) * weight)
-
-    applied = {}
-    for j, meter in enumerate(meters):
-        applied[("x", j)] = axis_x(chi, j)
-        applied[("p", j)] = axis_p(chi, j)
-        mid = meter.meter_id
-        values[f"m{mid}.x_mean"] = inner(chi, applied[("x", j)]).real / prob
-        values[f"m{mid}.p_mean"] = inner(chi, applied[("p", j)]).real / prob
-        values[f"m{mid}.x2"] = inner(applied[("x", j)], applied[("x", j)]).real / prob
-        values[f"m{mid}.p2"] = inner(applied[("p", j)], applied[("p", j)]).real / prob
-    for i in range(m):
-        for j in range(i + 1, m):
-            mi, mj = meters[i].meter_id, meters[j].meter_id
-            xx = inner(chi, axis_x(applied[("x", i)], j)).real / prob
-            pp = inner(applied[("p", i)], applied[("p", j)]).real / prob
-            xp = inner(chi, axis_p(applied[("x", i)], j)).real / prob
-            px = inner(applied[("x", j)], applied[("p", i)]).real / prob
-            values[f"corr.x{mi}_x{mj}"] = xx
-            values[f"corr.p{mi}_p{mj}"] = pp
-            values[f"corr.x{mi}_p{mj}"] = xp
-            values[f"corr.p{mi}_x{mj}"] = px
-            si2 = meters[i].sigma ** 2
-            sj2 = meters[j].sigma ** 2
-            zeta = complex(xx - 4 * si2 * sj2 * pp, 2 * sj2 * xp + 2 * si2 * px)
-            values[f"zeta.{mi}_{mj}.re"] = zeta.real
-            values[f"zeta.{mi}_{mj}.im"] = zeta.imag
+    ids = [meter.meter_id for meter in meters]
+    rho = density(chi)
+    for i, mi in enumerate(ids):
+        values[f"m{mi}.x_mean"], values[f"m{mi}.x2"] = mean(rho, (i, x)), mean(rho, (i, x * x))
+        for j, mj in enumerate(ids[i + 1:], i + 1):
+            values[f"corr.x{mi}_x{mj}"] = mean(rho, (i, x), (j, x))
+    del rho
+    for i, mi in enumerate(ids):
+        spectrum = np.fft.fft(chi, axis=i)
+        for j, mj in enumerate(ids[i + 1:], i + 1):
+            rho_pp = density(np.fft.fft(spectrum, axis=j))
+            values[f"corr.p{mi}_p{mj}"] = mean(rho_pp, (i, kn), (j, kn))
+        rho_p = density(spectrum)
+        del spectrum
+        values[f"m{mi}.p_mean"] = mean(rho_p, (i, kn))
+        values[f"m{mi}.p2"] = mean(rho_p, (i, k * kn))
+        for j, mj in enumerate(ids):
+            if j != i:
+                name = f"corr.p{mi}_x{mj}" if i < j else f"corr.x{mj}_p{mi}"
+                values[name] = mean(rho_p, (i, kn), (j, x))
+            if j < i:  # every correlator of the pair (j, i) is known now
+                xx, pp = values[f"corr.x{mj}_x{mi}"], values[f"corr.p{mj}_p{mi}"]
+                xp, px = values[f"corr.x{mj}_p{mi}"], values[f"corr.p{mj}_x{mi}"]
+                sj2, si2 = meters[j].sigma ** 2, meters[i].sigma ** 2
+                values[f"zeta.{mj}_{mi}.re"] = xx - 4 * sj2 * si2 * pp
+                values[f"zeta.{mj}_{mi}.im"] = 2 * si2 * xp + 2 * sj2 * px
     return values
 
 
@@ -393,10 +390,8 @@ def experiment_reports(experiment: Experiment, port: str,
     marginals: dict[tuple[int, str], float] = {}
     state_array = _evolve(experiment, spec, layout.final_slice, marginals)
     final = GridState(layout.final_slice, experiment, spec, state_array)
-    h = spec.spacing ** len(experiment.meters)
     for name in layout.ports:
-        arm_idx = layout.arm_index(layout.final_slice, layout.port_arm(name))
-        grid[f"P({name})"] = float(np.sum(np.abs(final.array[arm_idx]) ** 2) * h)
+        grid[f"P({name})"] = marginals[(layout.final_slice, layout.port_arm(name))]
     for (k, arm), p in marginals.items():
         grid[f"P[{arm}@{k}]"] = p
     grid.update(grid_moments(final, port))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkLayout, PathState, propagate, stage_unitary
+from .network import NetworkLayout, PathState, _arm_position, propagate, stage_unitary
 
 __all__ = [
     "ArmProjector",
@@ -58,7 +58,7 @@ class CoState:
     components: np.ndarray
 
     def component(self, arm: str) -> complex:
-        return complex(self.components[self.arms.index(arm)])
+        return complex(self.components[_arm_position(self.arms, arm, self.slice_index)])
 
 
 @dataclass(frozen=True)

@@ -355,6 +355,18 @@ def test_degenerate_port_exits_nonzero(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_angle_exits_2(value, tmp_path, capsys):
+    net = tmp_path / "mzi.net"
+    net.write_text(DARK_MZI.replace("out=dark,bright", f"out=dark,bright theta={value}"))
+    code, out, err = run_cli(
+        "weak-values", "--network", str(net), "--postselect", "PB", capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "non-finite number" in err
+
+
 def test_montecarlo_with_hopeless_acceptance_exits_2(tmp_path, capsys):
     net = tmp_path / "mzi.net"
     net.write_text(DARK_MZI)

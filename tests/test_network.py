@@ -170,6 +170,13 @@ def test_bad_reference_raises_value_error(lookup, reference, preset):
         lookup(preset, arm, k)
 
 
+def test_unknown_arm_on_a_state_names_arm_and_slice(preset):
+    with pytest.raises(ValueError, match=r"^arm 'Z' is not on slice 2$"):
+        forward_state(preset, 2).amplitude("Z")
+    with pytest.raises(ValueError, match=r"^arm 'Z' is not on slice 2$"):
+        backward_state(preset, "D2", 2).component("Z")
+
+
 def test_beamsplitter_block_convention():
     theta, phi = 0.3, 1.1
     block = beamsplitter("b", ("a", "b"), ("c", "d"), theta, phi).block()
@@ -363,6 +370,26 @@ def test_parse_errors_carry_position(text, line, fragment):
     assert err.value.line == line
     assert fragment in str(err.value)
     assert f"line {line}," in str(err.value)
+
+
+PHASE_PLATE = ("arm a\nslice 0: a\nslice 1: a\nsource a\n"
+               "phase stage=0 arm=a value=0.5\ndetector P=a\n")
+
+
+@pytest.mark.parametrize("text,old,new", [
+    (SINGLE_MZI, "out=CC,DD\n", "out=CC,DD theta=inf\n"),
+    (SINGLE_MZI, "out=CC,DD\n", "out=CC,DD theta=nan\n"),
+    (PHASE_PLATE, "value=0.5", "value=inf"),
+], ids=["theta_inf", "theta_nan", "phase_value_inf"])
+def test_non_finite_numbers_fail_at_their_value(text, old, new):
+    parse_network(text)
+    bad = text.replace(old, new)
+    with pytest.raises(NetworkParseError) as err:
+        parse_network(bad)
+    value = new.strip().rsplit("=", 1)[1]
+    assert f"non-finite number {value!r}" in str(err.value)
+    line = bad.splitlines()[err.value.line - 1]
+    assert line[err.value.column - 1:] == value
 
 
 # Stage 0 splits s onto A, B and passes N; stage 1 recombines A, B onto

@@ -185,3 +185,58 @@ def test_grid_agrees_on_random_layout():
     analytic, grid = experiment_reports(exp, port)
     table = compare(analytic, grid, 1e-7)
     assert table.all_pass, [r for r in table.rows if not r.passed]
+
+
+def spectral_moments(state, port):
+    """Pointer moments from x and p = -i d/dx (the spectral derivative)
+    applied to the port's wavefunction, and inner products on the grid."""
+    layout = state.experiment.layout
+    chi = state.array[layout.arm_index(layout.final_slice, layout.port_arm(port))]
+    weight = state.spec.spacing ** chi.ndim
+    k = 2 * math.pi * np.fft.fftfreq(state.spec.points, d=state.spec.spacing)
+
+    def along(vector, j):
+        return vector.reshape([-1 if a == j else 1 for a in range(chi.ndim)])
+
+    def x_(arr, j):
+        return arr * along(state.spec.axis, j)
+
+    def p_(arr, j):
+        return np.fft.ifft(np.fft.fft(arr, axis=j) * along(k, j), axis=j)
+
+    prob = np.vdot(chi, chi).real * weight
+
+    def inner(a, b):
+        return np.vdot(a, b).real * weight / prob
+
+    ids = [m.meter_id for m in state.experiment.meters]
+    out = {}
+    for j, mid in enumerate(ids):
+        out[f"m{mid}.x_mean"] = inner(chi, x_(chi, j))
+        out[f"m{mid}.p_mean"] = inner(chi, p_(chi, j))
+        out[f"m{mid}.x2"] = inner(x_(chi, j), x_(chi, j))
+        out[f"m{mid}.p2"] = inner(p_(chi, j), p_(chi, j))
+    for i, mi in enumerate(ids):
+        for j in range(i + 1, len(ids)):
+            mj = ids[j]
+            out[f"corr.x{mi}_x{mj}"] = inner(chi, x_(x_(chi, i), j))
+            out[f"corr.p{mi}_p{mj}"] = inner(p_(chi, i), p_(chi, j))
+            out[f"corr.x{mi}_p{mj}"] = inner(chi, p_(x_(chi, i), j))
+            out[f"corr.p{mi}_x{mj}"] = inner(x_(chi, j), p_(chi, i))
+    return out
+
+
+@pytest.mark.parametrize("meters,spec", [
+    ((("B", T1, 0.3, 1.0), ("E", T2, 0.3, 1.0)), None),
+    ((("B", T1, 0.3, 1.0), ("C", T1, 0.45, 0.8), ("E", T2, 0.5, 1.2)), GridSpec(12.5, 129)),
+], ids=["preset", "three_meters"])
+def test_density_moments_match_spectral_derivatives(meters, spec, preset):
+    exp = new_experiment(preset)
+    for arm, k, g, sigma in meters:
+        exp = attach_meter(exp, arm, k, g, sigma)
+    state = grid_run(exp, spec)
+    values = grid_moments(state, "D2")
+    reference = spectral_moments(state, "D2")
+    assert len(reference) == 4 * len(meters) + 2 * len(meters) * (len(meters) - 1)
+    for name, value in reference.items():
+        assert abs(values[name] - value) < 1e-12, name

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from tsvfsim.meter import (
 )
 from tsvfsim import sampling
 from tsvfsim.network import nested_mzi_preset, parse_network, random_layout
+from tsvfsim.tsvf import forward_state
 from tsvfsim.sampling import (
     BLOCK_SIZE,
     CANDIDATE_BUDGET,
@@ -38,6 +40,9 @@ from tsvfsim.sampling import (
     required_samples,
     sample_readings,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's seeded layouts)
 
 T1, T2 = 2, 3
 
@@ -242,14 +247,14 @@ detector PB=bright
 
 
 def test_hopeless_acceptance_raises_before_drawing():
-    # a feeble meter barely opens the dark port: P ~ 2.5e-9, and so is the
-    # predicted acceptance of the rejection sampler
+    # a feeble meter barely opens the dark port: P ~ 2.5e-9, and the two
+    # terms' opposite signs let the envelope hold only twice that
     exp = attach_meter(new_experiment(parse_network(DARK_MZI)), "A", 1, 2e-4, 1.0)
     mix = postselect(run_coupled(exp), "PD")
     assert len(mix.amplitudes) == 2
     assert mix.postselection_probability == pytest.approx(2.5e-9, rel=1e-3)
     start = time.perf_counter()
-    with pytest.raises(SamplingBudgetExceeded, match="predicted acceptance 2.5"):
+    with pytest.raises(SamplingBudgetExceeded, match="predicted acceptance 5.0"):
         sample_readings(mix, ReadoutPlan(("x",), 10, 1))
     assert time.perf_counter() - start < 1.0
 
@@ -268,19 +273,91 @@ def test_budget_leaves_room_for_the_preset(mixture):
     assert BLOCK_SIZE / batch.acceptance_rate < CANDIDATE_BUDGET / 100
 
 
+QUADRATURE_PAIRS = [("x", "x"), ("p", "p"), ("x", "p"), ("p", "x")]
+
+
+def test_preset_draws_few_candidates_per_reading(mixture):
+    # the envelope accepts 0.40, 0.25, 0.29 and 0.33 of its candidates, and
+    # each chunk draws 1.05 times what it expects to need
+    per_reading = [1 / sample_readings(mixture, ReadoutPlan(q, 200_000, 51 + k)).acceptance_rate
+                   for k, q in enumerate(QUADRATURE_PAIRS)]
+    assert sum(per_reading) / 4 <= 3.6
+
+
+def test_dense_mixture_draws_few_candidates_per_reading():
+    exp = workloads.dense_experiment(1)
+    joint = run_coupled(exp)
+    mixtures = {}
+    for port in exp.layout.ports:
+        try:
+            mixtures[port] = postselect(joint, port)
+        except ZeroProbability:
+            pass
+    mix = mixtures[workloads.richest_port(mixtures)]
+    assert len(mix.amplitudes) == 28
+    batch = sample_readings(mix, ReadoutPlan(("x",) * len(exp.meters), 8192, 1))
+    assert 1 / batch.acceptance_rate <= 12.5
+
+
+def ladder_mixture(m):
+    """4-arm layered layout with one meter (g = 0.3, sigma = 1) per
+    intermediate slice on its most occupied arm, postselected on the port
+    with the most mixture terms."""
+    rng = np.random.Generator(np.random.Philox(key=[5, 1]))
+    layout = workloads.layered_layout(rng, 4, m + 2)
+    exp = new_experiment(layout)
+    for k in range(1, layout.n_slices - 1):
+        occupation = np.abs(forward_state(layout, k).amplitudes) ** 2
+        arms = layout.slices[k]
+        exp = attach_meter(exp, arms[int(np.argmax(occupation))], k, 0.3, 1.0)
+    joint = run_coupled(exp)
+    mixtures = {port: postselect(joint, port) for port in layout.ports}
+    return mixtures[workloads.richest_port(mixtures)]
+
+
+def test_pair_table_past_the_budget_raises_before_it_is_built():
+    mix = ladder_mixture(16)
+    assert len(mix.amplitudes) == 3494
+    start = time.perf_counter()
+    with pytest.raises(SamplingBudgetExceeded, match="3494 mixture terms"):
+        sample_readings(mix, ReadoutPlan(("x",) * 16, 10, 1))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_pair_table_holds_no_array_per_meter():
+    mix = ladder_mixture(14)
+    assert len(mix.amplitudes) == 1910
+    tracemalloc.start()
+    try:
+        density = sampling._Density(mix, ("x",) * 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert density.cdf.size == 1910 ** 2
+    # the pair table and one work array of T^2 floats, where a (T^2, m)
+    # array of pair means alone would take m = 14 of them
+    assert peak < 3 * 8 * 1910 ** 2
+
+
 # ----------------------------------------------------------------------
 # The factored density kernel against the closed-form packets
 
 
-def reference_weights(mixture, quadratures, v):
-    """Density |sum_t A_t w_t|^2 and envelope (sum_t |A_t| |w_t|)^2 at the
-    rows of ``v``, with w_t the product over meters of the position packet
-    (2 pi sigma^2)^(-1/4) exp(-(v - s)^2 / (4 sigma^2)) for x readout and
-    the momentum packet (2 sigma^2 / pi)^(1/4) exp(-sigma^2 v^2 - i v s)
-    for p readout, term by term."""
+def reference_weights(mixture, quadratures, v, turn):
+    """Density |sum_t A_t w_t|^2 at the rows of ``v``, with w_t the product
+    over meters of the position packet (2 pi sigma^2)^(-1/4) exp(-(v - s)^2 /
+    (4 sigma^2)) for x readout and the momentum packet (2 sigma^2 / pi)^(1/4)
+    exp(-sigma^2 v^2 - i v s) for p readout, term by term; and the envelope
+    the sampler draws from, pair by pair, with its pair weights.
+
+    A pair (s, s') weighs sum_g a_gs a_gs' (the four non-negative parts of
+    ``turn * A``) when its p shifts agree and |A_s| |A_s'| otherwise, times
+    the overlap exp(-(s_j - s'_j)^2 / (8 sigma_j^2)) of every x meter; its
+    component is the product of N((s_j + s'_j) / 2, sigma_j^2) (x readout)
+    and N(0, 1 / (4 sigma_j^2)) (p readout)."""
+    shifts, amps = mixture.entries()
     psi = np.zeros(len(v), dtype=complex)
-    env = np.zeros(len(v))
-    for shift, amp in mixture.amplitudes.items():
+    for shift, amp in zip(shifts, amps):
         w = np.ones(len(v), dtype=complex)
         for j, (m, quad, s) in enumerate(zip(mixture.meters, quadratures, shift)):
             sig2 = m.sigma ** 2
@@ -289,8 +366,28 @@ def reference_weights(mixture, quadratures, v):
             else:
                 w *= (2 * sig2 / math.pi) ** 0.25 * np.exp(-sig2 * v[:, j] ** 2 - 1j * v[:, j] * s)
         psi += amp * w
-        env += abs(amp) * np.abs(w)
-    return np.abs(psi) ** 2, env ** 2
+    turned = turn * amps
+    parts = np.maximum(0.0, [turned.real, -turned.real, turned.imag, -turned.imag]).T
+    is_p = np.array([q == "p" for q in quadratures])
+    pair_weights = np.zeros((len(amps), len(amps)))
+    env = np.zeros(len(v))
+    for a in range(len(amps)):
+        for b in range(len(amps)):
+            if np.array_equal(shifts[a, is_p], shifts[b, is_p]):
+                weight = parts[a] @ parts[b]
+            else:
+                weight = abs(amps[a]) * abs(amps[b])
+            component = np.ones(len(v))
+            for j, (m, quad) in enumerate(zip(mixture.meters, quadratures)):
+                if quad == "x":
+                    weight *= math.exp(-(shifts[a, j] - shifts[b, j]) ** 2 / (8 * m.sigma ** 2))
+                    mean, sd = (shifts[a, j] + shifts[b, j]) / 2, m.sigma
+                else:
+                    mean, sd = 0.0, 0.5 / m.sigma
+                component *= stats.norm.pdf(v[:, j], mean, sd)
+            pair_weights[a, b] = weight
+            env += weight * component
+    return np.abs(psi) ** 2, env, pair_weights
 
 
 def random_mixture(seed):
@@ -343,13 +440,24 @@ def test_kernel_matches_closed_form_packets(name, seed, readout):
     width = np.array([1.5 * mt.sigma if q == "x" else 1 / mt.sigma
                       for mt, q in zip(mix.meters, quads)])
     v = np.where(is_x, shifts, 0.0) + width * rng.standard_normal((2000, m))
-    f, env = sampling._Density(mix, quads).weights(v)
-    f_ref, env_ref = reference_weights(mix, quads, v)
+    density = sampling._Density(mix, quads)
+    f, env = density.weights(v)
+    f_ref, env_ref, pair_weights = reference_weights(mix, quads, v, density.turn)
     assert np.all(env_ref > 0)
     # u env < f accepts with probability f / env; compare it on the
     # envelope's scale, where cancellation in f leaves its rounding
     assert np.max(np.abs(f / env - f_ref / env_ref)) < 1e-12
     assert np.all(f <= env * (1 + 1e-12))
+    # the kernel's envelope is the pair mixture the sampler draws from, up
+    # to one constant and the momentum packets' moduli it leaves out
+    moduli = np.ones(len(v))
+    for j in np.flatnonzero(~is_x):
+        moduli *= np.exp(-2 * mix.meters[j].sigma ** 2 * v[:, j] ** 2)
+    ratio = env * moduli / env_ref
+    assert np.max(np.abs(ratio / ratio[0] - 1)) < 1e-12
+    cdf = np.cumsum(pair_weights.ravel())
+    assert np.max(np.abs(density.cdf - cdf / cdf[-1])) < 1e-12
+    assert density.rate == pytest.approx(mix.postselection_probability / cdf[-1], rel=1e-12)
 
 
 def test_kernel_cases_cover_the_edge_cases():
