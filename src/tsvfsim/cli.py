@@ -17,9 +17,10 @@ byte-identical across runs.
 
 Defaults can also be given in an INI file (``--config``); explicit flags
 win over the file.  Sections: ``[scenario]`` (network, postselect, seed,
-format), ``[meters]`` (any keys, sorted, one meter spec each), ``[chains]``
-(same idea), ``[sweep]`` (gs = spec), ``[montecarlo]`` (n), ``[grid]``
-(half_width, points).
+format, probe), ``[meters]`` (any keys, sorted, one meter spec each),
+``[chains]`` (same idea), ``[sweep]`` (gs = spec), ``[montecarlo]`` (n),
+``[grid]`` (half_width, points).  A config value goes through the same
+checks as its flag.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,7 +100,7 @@ def parse_meter_spec(text: str) -> MeterSpec:
     match = _METER_RE.match(text.strip())
     if not match:
         raise CliError(f"bad meter spec {text!r} (want arm@slice[:g=V,sigma=V])")
-    g, sigma = 0.3, 1.0
+    params = {"g": 0.3, "sigma": 1.0}
     if match["params"]:
         for item in match["params"].split(","):
             key, eq, value = item.partition("=")
@@ -108,13 +110,10 @@ def parse_meter_spec(text: str) -> MeterSpec:
                 number = float(value)
             except ValueError:
                 raise CliError(f"bad number {value!r} in meter spec {text!r}") from None
-            if key == "g":
-                g = number
-            elif key == "sigma":
-                sigma = number
-            else:
+            if key not in params:
                 raise CliError(f"unknown meter parameter {key!r} in {text!r}")
-    return MeterSpec(match["arm"], int(match["slice"]), g, sigma)
+            params[key] = number
+    return MeterSpec(match["arm"], int(match["slice"]), params["g"], params["sigma"])
 
 
 def parse_chain_spec(text: str) -> tuple[tuple[str, int], ...]:
@@ -125,8 +124,6 @@ def parse_chain_spec(text: str) -> tuple[tuple[str, int], ...]:
         if not match:
             raise CliError(f"bad chain step {item!r} in {text!r} (want arm@slice)")
         steps.append((match["arm"], int(match["slice"])))
-    if not steps:
-        raise CliError("empty chain")
     return tuple(steps)
 
 
@@ -150,12 +147,12 @@ def parse_sweep_spec(text: str) -> tuple[float, ...]:
             values = tuple(start + k * step for k in range(count))
         else:
             values = tuple(float(v) for v in text.split(","))
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         raise CliError(
             f"bad sweep spec {text!r} (want a,b,c or start:stop:step or startxfactorxcount)"
         ) from None
-    if not values or any(v <= 0 for v in values):
-        raise CliError("sweep values must be positive")
+    if not values or not all(0 < v < math.inf for v in values):
+        raise CliError("sweep values must be positive and finite")
     return values
 
 
@@ -384,15 +381,16 @@ def _slope_row(label: str, sweep, errs, err_column: str) -> dict:
 
 
 def cmd_montecarlo(layout, port, meters: list[MeterSpec], n: int, seed: int):
+    combos = [("x", "x"), ("p", "p"), ("x", "p"), ("p", "x")]
+    try:
+        plans = [ReadoutPlan(combo, n, seed + k) for k, combo in enumerate(combos)]
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     if len(meters) != 2:
         raise CliError("montecarlo needs exactly two --meter specs")
     columns = ("kind", "quantity", "estimate", "stderr", "exact", "z", "pass")
     mixture = postselect(run_coupled(build_experiment(layout, meters)), port)
-    combos = [("x", "x"), ("p", "p"), ("x", "p"), ("p", "x")]
-    batches = [
-        sample_readings(mixture, ReadoutPlan(combo, n, seed + k))
-        for k, combo in enumerate(combos)
-    ]
+    batches = [sample_readings(mixture, plan) for plan in plans]
     est = estimate_from_samples(batches)
 
     rows = []
@@ -435,12 +433,12 @@ def cmd_oracle(layout, port, meters: list[MeterSpec],
                half_width: float | None, points: int | None):
     columns = ("kind", "name", "analytic", "grid", "abs_dev", "tol", "pass")
     exp = build_experiment(layout, meters)
-    if half_width is not None:
-        spec = GridSpec(half_width, points if points is not None else 1025)
-    elif points is not None:
-        spec = GridSpec(default_grid(exp).half_width, points)
-    else:
-        spec = default_grid(exp)
+    fallback = default_grid(exp)
+    try:
+        spec = GridSpec(fallback.half_width if half_width is None else half_width,
+                        fallback.points if points is None else points)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     analytic, grid = experiment_reports(exp, port, spec)
     table = compare(analytic, grid, 1e-7)
     rows = [
@@ -500,6 +498,35 @@ def render_json(command, columns, rows, meta, all_pass) -> str:
 # Argument handling
 
 
+class _Option(NamedTuple):
+    """An option's --config section and key (None: every key, sorted), its
+    default by subcommand ("*": any other), and the converter and choices its
+    value passes from a flag or the file.  run() parses spec texts."""
+
+    section: str
+    key: str | None
+    defaults: dict
+    convert: Callable = str
+    choices: tuple[str, ...] | None = None
+
+
+_OPTIONS = {  # keyed by argparse dest
+    "network": _Option("scenario", "network", {"*": "nested-mzi"}),
+    "postselect": _Option("scenario", "postselect", {}),
+    "fmt": _Option("scenario", "format", {"*": "csv"}, choices=("csv", "json")),
+    "seed": _Option("scenario", "seed", {"*": DEFAULT_SEED}, int),
+    "probe": _Option("scenario", "probe", {"disturbance": "E@3"}),
+    "meters": _Option("meters", None, {
+        "disturbance": ["B@2:g=0"], "meter-sweep": ["C@2:g=0", "E@3:g=0"],
+        "montecarlo": ["B@2", "E@3"], "oracle": ["B@2", "E@3"]}),
+    "chains": _Option("chains", None, {"sequential": ["B@2,E@3"]}),
+    "sweep": _Option("sweep", "gs", {"disturbance": "0.05:0.5:0.05", "meter-sweep": "0.4x0.5x6"}),
+    "n": _Option("montecarlo", "n", {"montecarlo": 1_000_000}, int),
+    "half_width": _Option("grid", "half_width", {}, float),
+    "points": _Option("grid", "points", {}, int),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--network", metavar="SPEC",
@@ -509,10 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--meter", metavar="ARM@SLICE[:g=V,sigma=V]",
                         action="append", dest="meters",
                         help="attach a pointer meter; repeatable")
-    common.add_argument("--format", choices=("csv", "json"), dest="fmt")
+    common.add_argument("--format", choices=_OPTIONS["fmt"].choices, dest="fmt")
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     common.add_argument("--config", metavar="PATH", help="INI file with defaults")
-    common.add_argument("--seed", type=int, help="RNG seed for sampling commands")
+    common.add_argument("--seed", type=_OPTIONS["seed"].convert,
+                        help="RNG seed for sampling commands")
 
     parser = argparse.ArgumentParser(
         prog="tsvfsim",
@@ -534,108 +562,83 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", metavar="SPEC", help="coupling sweep (>= 4 points)")
     p = sub.add_parser("montecarlo", parents=[common],
                        help="sampled readout vs closed-form moments")
-    p.add_argument("--n", type=int, help="readings per quadrature combination")
+    p.add_argument("--n", type=_OPTIONS["n"].convert,
+                   help="readings per quadrature combination")
     p = sub.add_parser("oracle", parents=[common],
                        help="closed-form route vs grid route")
-    p.add_argument("--grid-half-width", type=float, dest="half_width")
-    p.add_argument("--grid-points", type=int, dest="points")
+    p.add_argument("--grid-half-width", type=_OPTIONS["half_width"].convert, dest="half_width")
+    p.add_argument("--grid-points", type=_OPTIONS["points"].convert, dest="points")
     return parser
 
 
 def load_config(path: str) -> dict:
+    """The options a config file sets, keyed by argparse dest; an empty
+    section sets none."""
     parser = configparser.ConfigParser()
+    values: dict = {}
     try:
         with open(path) as fh:
             parser.read_file(fh)
+        # reading a value can raise too: "%" starts an interpolation
+        for dest, option in _OPTIONS.items():
+            section = parser[option.section] if parser.has_section(option.section) else {}
+            if not section:
+                continue
+            if option.key is None:
+                values[dest] = [v for _, v in sorted(section.items())]
+            elif option.key in section:
+                text = section[option.key]
+                try:
+                    values[dest] = option.convert(text)
+                    if option.choices and values[dest] not in option.choices:
+                        raise ValueError
+                except ValueError:
+                    want = ", ".join(option.choices or ()) or option.convert.__name__
+                    raise CliError(f"bad config {path!r}: [{option.section}] {option.key}: "
+                                   f"invalid value {text!r} (want {want})") from None
     except OSError as exc:
         raise CliError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise CliError(f"bad config {path!r}: {exc}") from exc
-    values: dict = {}
-    if parser.has_section("scenario"):
-        section = parser["scenario"]
-        for key in ("network", "postselect", "format", "probe"):
-            if key in section:
-                values[key] = section[key]
-        if "seed" in section:
-            values["seed"] = section.getint("seed")
-    if parser.has_section("meters"):
-        values["meters"] = [v for _, v in sorted(parser["meters"].items())]
-    if parser.has_section("chains"):
-        values["chains"] = [v for _, v in sorted(parser["chains"].items())]
-    if parser.has_section("sweep") and "gs" in parser["sweep"]:
-        values["sweep"] = parser["sweep"]["gs"]
-    if parser.has_section("montecarlo") and "n" in parser["montecarlo"]:
-        values["n"] = parser["montecarlo"].getint("n")
-    if parser.has_section("grid"):
-        section = parser["grid"]
-        if "half_width" in section:
-            values["half_width"] = section.getfloat("half_width")
-        if "points" in section:
-            values["points"] = section.getint("points")
     return values
-
-
-def _pick(flag, config: dict, key: str, fallback):
-    if flag is not None:
-        return flag
-    return config.get(key, fallback)
 
 
 def run(args) -> tuple[tuple, list, dict, str]:
     config = load_config(args.config) if args.config else {}
-    network_spec = _pick(args.network, config, "network", "nested-mzi")
-    layout = load_layout(network_spec)
-    port = pick_port(layout, _pick(args.postselect, config, "postselect", None))
-    meter_texts = _pick(args.meters, config, "meters", None)
-    meters = [parse_meter_spec(t) for t in meter_texts] if meter_texts else []
-    seed = _pick(args.seed, config, "seed", DEFAULT_SEED)
-    fmt = _pick(args.fmt, config, "format", "csv")
+    # each option from its flag, else the config file, else its default
+    given = {**config, **{dest: v for dest, v in vars(args).items() if v is not None}}
+    opts = {dest: given.get(dest, o.defaults.get(args.command, o.defaults.get("*")))
+            for dest, o in _OPTIONS.items()}
+    layout = load_layout(opts["network"])
+    port = pick_port(layout, opts["postselect"])
+    meters = [parse_meter_spec(t) for t in opts["meters"] or ()]
 
     if args.command == "weak-values":
         columns, rows, meta = cmd_weak_values(layout, port)
     elif args.command == "sequential":
-        chain_texts = _pick(args.chains, config, "chains", None) or ["B@2,E@3"]
-        chains = [parse_chain_spec(t) for t in chain_texts]
+        chains = [parse_chain_spec(t) for t in opts["chains"]]
         columns, rows, meta = cmd_sequential(layout, port, chains)
     elif args.command == "disturbance":
-        sweep = parse_sweep_spec(_pick(args.sweep, config, "sweep", "0.05:0.5:0.05"))
-        meter = meters[0] if meters else MeterSpec("B", 2, 0.0, 1.0)
+        sweep = parse_sweep_spec(opts["sweep"])
         if len(meters) > 1:
             raise CliError("disturbance tracks a single meter")
-        probe_text = _pick(args.probe, config, "probe", "E@3")
-        match = _STEP_RE.match(probe_text.strip())
-        if not match:
-            raise CliError(f"bad probe {probe_text!r} (want arm@slice)")
-        probe = (match["arm"], int(match["slice"]))
-        canonical = (
-            network_spec == "nested-mzi"
-            and (meter.arm, meter.slice_index) == ("B", 2)
-            and probe == ("E", 3)
-        )
-        columns, rows, meta = cmd_disturbance(layout, port, meter, probe,
-                                              sweep, canonical)
+        meter = meters[0]
+        try:
+            (probe,) = parse_chain_spec(opts["probe"])
+        except (CliError, ValueError):
+            raise CliError(f"bad probe {opts['probe']!r} (want arm@slice)") from None
+        canonical = (opts["network"] == "nested-mzi"
+                     and (meter.arm, meter.slice_index, probe) == ("B", 2, ("E", 3)))
+        columns, rows, meta = cmd_disturbance(layout, port, meter, probe, sweep, canonical)
     elif args.command == "meter-sweep":
-        sweep = parse_sweep_spec(_pick(args.sweep, config, "sweep", "0.4x0.5x6"))
-        if not meters:
-            meters = [MeterSpec("C", 2, 0.0, 1.0), MeterSpec("E", 3, 0.0, 1.0)]
+        sweep = parse_sweep_spec(opts["sweep"])
         columns, rows, meta = cmd_meter_sweep(layout, port, meters, sweep)
     elif args.command == "montecarlo":
-        if not meters:
-            meters = [MeterSpec("B", 2, 0.3, 1.0), MeterSpec("E", 3, 0.3, 1.0)]
-        n = _pick(args.n, config, "n", 1_000_000)
-        if n < 1:
-            raise CliError("need at least one reading")
-        columns, rows, meta = cmd_montecarlo(layout, port, meters, n, seed)
-    elif args.command == "oracle":
-        if not meters:
-            meters = [MeterSpec("B", 2, 0.3, 1.0), MeterSpec("E", 3, 0.3, 1.0)]
-        half_width = _pick(args.half_width, config, "half_width", None)
-        points = _pick(args.points, config, "points", None)
-        columns, rows, meta = cmd_oracle(layout, port, meters, half_width, points)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise CliError(f"unknown command {args.command!r}")
-    return columns, rows, meta, fmt
+        columns, rows, meta = cmd_montecarlo(layout, port, meters, opts["n"], opts["seed"])
+    else:  # oracle; argparse allows no other command
+        columns, rows, meta = cmd_oracle(layout, port, meters, opts["half_width"],
+                                         opts["points"])
+    return columns, rows, meta, opts["fmt"]
 
 
 def main(argv=None) -> int:

@@ -121,8 +121,8 @@ class GaussianPointer:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("pointer width sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("pointer width sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -160,13 +160,13 @@ def attach_meter(
 ) -> Experiment:
     """Return a new experiment with one more meter on (arm, slice).
 
-    The coupling strength may be zero (the meter then records nothing);
-    negative strengths and non-positive widths are rejected, as are arms
-    that do not exist on the given slice.
+    The coupling strength may be zero (the meter then records nothing).  A
+    negative or non-finite strength, a width that is not positive and
+    finite, and an arm that is not on the given slice are rejected.
     """
     experiment.layout.arm_index(slice_index, arm)
-    if strength < 0.0:
-        raise ValueError("coupling strength must be >= 0")
+    if not 0.0 <= strength < math.inf:
+        raise ValueError("coupling strength must be finite and >= 0")
     meter = MeterAttachment(
         len(experiment.meters), arm, slice_index, float(strength),
         GaussianPointer(float(sigma)),

@@ -483,7 +483,8 @@ def random_layout(seed: int, max_arms: int = 5, max_stages: int = 5) -> NetworkL
 #   pass stage=<k> arm=<a>
 #   detector <port>=<arm>
 #
-# '#' starts a comment. Arms must be declared before use. The structural
+# '#' starts a comment. Arms must be declared before use. The four stage
+# directives (bs to pass) are read from _STAGE_DIRECTIVES. The structural
 # rules (stage k consumes each arm of slice k once and produces each arm of
 # slice k + 1 once, the source is on slice 0, each detector on its own
 # final-slice arm) are validate_network's; a violation is reported at the
@@ -497,7 +498,7 @@ def _fail(msg: str, line: int, col: int):
     raise NetworkParseError(msg, line, col)
 
 
-def _parse_float(text: str, line: int, col: int) -> float:
+def _parse_float(text: str, line: int, col: int, declared=None) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -507,42 +508,99 @@ def _parse_float(text: str, line: int, col: int) -> float:
     return value
 
 
-def _parse_int(text: str, line: int, col: int) -> int:
+def _parse_int(text: str, line: int, col: int, declared=None) -> int:
     try:
         return int(text)
     except ValueError:
         _fail(f"invalid integer {text!r}", line, col)
 
 
-class _LineParser:
-    """Splits a directive line into key=value fields with column tracking."""
+def _parse_arm(text: str, line: int, col: int, declared: dict[str, int]) -> str:
+    err = _check_arm_name(text)
+    if err:
+        _fail(err, line, col)
+    if text not in declared:
+        _fail(f"unknown arm reference {text!r}", line, col)
+    return text
 
-    def __init__(self, line: str, lineno: int, tokens: list[tuple[str, int]]):
-        self.line = line
-        self.lineno = lineno
-        self.fields: dict[str, tuple[str, int, int]] = {}  # value, value col, key col
-        for text, col in tokens:
-            m = _KV_RE.match(text)
-            if not m:
-                _fail(f"expected key=value, found {text!r}", lineno, col)
-            key, value = m.group(1), m.group(2)
-            if key in self.fields:
-                _fail(f"duplicate parameter {key!r}", lineno, col)
-            if not value:
-                _fail(f"empty value for {key!r}", lineno, col)
-            self.fields[key] = (value, col + len(key) + 1, col)
 
-    def take(self, key: str, required: bool = True) -> tuple[str, int] | None:
-        if key not in self.fields:
-            if required:
-                _fail(f"missing parameter {key!r}", self.lineno, len(self.line) + 1)
-            return None
-        value, vcol, _ = self.fields.pop(key)
-        return value, vcol
+def _parse_arms(text: str, line: int, col: int, declared: dict[str, int]) -> tuple[str, ...]:
+    """Comma-separated arms; an empty piece fails before any is looked up."""
+    pieces = []
+    offset = 0
+    for piece in text.split(","):
+        name = piece.strip()
+        sub = col + offset + (len(piece) - len(piece.lstrip()))
+        if not name:
+            _fail("empty arm in list", line, sub)
+        pieces.append((name, sub))
+        offset += len(piece) + 1
+    return tuple([_parse_arm(name, line, sub, declared) for name, sub in pieces])
 
-    def finish(self):
-        for key, (_, _, kcol) in self.fields.items():
-            _fail(f"unknown parameter {key!r}", self.lineno, kcol)
+
+# A stage directive is (names, fields, counts, build):
+# * names: how many name tokens follow it (0 or 1);
+# * fields: (key, parser, default) in the order the keys are taken and the
+#   values parsed; _REQUIRED marks a key with no default;
+# * counts: (index among the values after stage, allowed lengths, message),
+#   checked once every value is parsed;
+# * build: makes the component from the name and the values after stage;
+#   None for pass, whose element is its arm.
+# A parser is called as parse(text, line, column, declared arms).
+_REQUIRED = object()
+_STAGE = ("stage", _parse_int, _REQUIRED)
+_STAGE_DIRECTIVES = {
+    "bs": (1, (_STAGE, ("in", _parse_arms, _REQUIRED), ("out", _parse_arms, _REQUIRED),
+               ("theta", _parse_float, BALANCED_ANGLE), ("phase", _parse_float, 0.0)),
+           ((0, (1, 2), "beamsplitter needs 1 or 2 input arms"),
+            (1, (2,), "beamsplitter needs exactly 2 output arms")),
+           beamsplitter),
+    "mirror": (1, (_STAGE, ("in", _parse_arm, _REQUIRED), ("out", _parse_arm, _REQUIRED)),
+               (), mirror),
+    "phase": (0, (_STAGE, ("arm", _parse_arm, _REQUIRED), ("value", _parse_float, _REQUIRED)),
+              (), phase_plate),
+    "pass": (0, (_STAGE, ("arm", _parse_arm, _REQUIRED)), (), None),
+}
+
+
+def _stage_directive(tokens: list[tuple[str, int]], line: str, lineno: int,
+                     declared: dict[str, int]) -> tuple[int, ComponentSpec | str]:
+    """One stage directive line as (stage, component or pass-through arm)."""
+    directive, dcol = tokens[0]
+    names, fields, counts, build = _STAGE_DIRECTIVES[directive]
+    if names and (len(tokens) < 2 or "=" in tokens[1][0]):
+        keys = " ".join(f"{key}=..." for key, _, _ in fields)
+        _fail(f"usage: {directive} <name> {keys}", lineno, dcol)
+    given: dict[str, tuple[str, int, int]] = {}  # value, value col, key col
+    for text, col in tokens[1 + names:]:
+        m = _KV_RE.match(text)
+        if not m:
+            _fail(f"expected key=value, found {text!r}", lineno, col)
+        key, value = m.groups()
+        if key in given:
+            _fail(f"duplicate parameter {key!r}", lineno, col)
+        if not value:
+            _fail(f"empty value for {key!r}", lineno, col)
+        given[key] = (value, col + len(key) + 1, col)
+    taken = []  # parser, value text (or default), value col
+    for key, parse, default in fields:
+        if key in given:
+            value, vcol, _ = given.pop(key)
+            taken.append((parse, value, vcol))
+        elif default is _REQUIRED:
+            _fail(f"missing parameter {key!r}", lineno, len(line) + 1)
+        else:
+            taken.append((None, default, 0))
+    for key, (_, _, kcol) in given.items():
+        _fail(f"unknown parameter {key!r}", lineno, kcol)
+    stage, *values = [parse(value, lineno, col, declared) if parse else value
+                      for parse, value, col in taken]
+    for i, allowed, message in counts:
+        if len(values[i]) not in allowed:
+            _fail(message, lineno, taken[i + 1][2])
+    if build is None:
+        return stage, values[0]
+    return stage, build(tokens[1][0], *values) if names else build(*values)
 
 
 def parse_network(text: str) -> NetworkLayout:
@@ -574,30 +632,8 @@ def parse_network(text: str) -> NetworkLayout:
     detectors: list[tuple[str, str, int]] = []
     components: list[tuple[int, ComponentSpec, int]] = []  # (stage, spec, line)
     passes: list[tuple[int, str, int]] = []
-    n_lines = 0
-
-    def check_declared(arm: str, lineno: int, col: int) -> str:
-        err = _check_arm_name(arm)
-        if err:
-            _fail(err, lineno, col)
-        if arm not in declared:
-            _fail(f"unknown arm reference {arm!r}", lineno, col)
-        return arm
-
-    def split_arms(value: str, lineno: int, col: int) -> list[tuple[str, int]]:
-        out = []
-        offset = 0
-        for piece in value.split(","):
-            name = piece.strip()
-            sub = col + offset + (len(piece) - len(piece.lstrip()))
-            if not name:
-                _fail("empty arm in list", lineno, sub)
-            out.append((name, sub))
-            offset += len(piece) + 1
-        return out
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        n_lines = lineno
+    rows = text.splitlines()
+    for lineno, raw in enumerate(rows, start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
@@ -625,7 +661,7 @@ def parse_network(text: str) -> NetworkLayout:
             body, body_col = m.group(2), m.start(2) + 1
             if not body.strip():
                 _fail(f"slice {k} lists no arms", lineno, body_col)
-            arms = [check_declared(a, lineno, c) for a, c in split_arms(body, lineno, body_col)]
+            arms = list(_parse_arms(body, lineno, body_col, declared))
             dupes = [a for a, c in Counter(arms).items() if c > 1]
             if dupes:
                 _fail(f"arm {dupes[0]!r} listed twice on slice {k}", lineno, body_col)
@@ -637,7 +673,7 @@ def parse_network(text: str) -> NetworkLayout:
             if source is not None:
                 _fail("source declared twice", lineno, dcol)
             name, col = tokens[1]
-            source = (check_declared(name, lineno, col), lineno)
+            source = (_parse_arm(name, lineno, col, declared), lineno)
 
         elif directive == "detector":
             if len(tokens) != 2:
@@ -650,78 +686,17 @@ def parse_network(text: str) -> NetworkLayout:
                 _fail("empty detector port name", lineno, col)
             if any(port == p for p, _, _ in detectors):
                 _fail(f"detector port {port!r} declared twice", lineno, col)
-            arm = check_declared(arm, lineno, col + len(port) + 1)
+            arm = _parse_arm(arm, lineno, col + len(port) + 1, declared)
             detectors.append((port, arm, lineno))
 
-        elif directive == "bs":
-            if len(tokens) < 2 or "=" in tokens[1][0]:
-                _fail("usage: bs <name> stage=... in=... out=... theta=... phase=...",
-                      lineno, dcol)
-            name = tokens[1][0]
-            p = _LineParser(line, lineno, tokens[2:])
-            stage_txt, scol = p.take("stage")
-            in_txt, icol = p.take("in")
-            out_txt, ocol = p.take("out")
-            theta_field = p.take("theta", required=False)
-            phase_field = p.take("phase", required=False)
-            p.finish()
-            stage = _parse_int(stage_txt, lineno, scol)
-            ins = tuple(check_declared(a, lineno, c)
-                        for a, c in split_arms(in_txt, lineno, icol))
-            outs = tuple(check_declared(a, lineno, c)
-                         for a, c in split_arms(out_txt, lineno, ocol))
-            theta = BALANCED_ANGLE
-            if theta_field is not None:
-                theta = _parse_float(theta_field[0], lineno, theta_field[1])
-            phase = 0.0
-            if phase_field is not None:
-                phase = _parse_float(phase_field[0], lineno, phase_field[1])
-            if len(ins) not in (1, 2):
-                _fail("beamsplitter needs 1 or 2 input arms", lineno, icol)
-            if len(outs) != 2:
-                _fail("beamsplitter needs exactly 2 output arms", lineno, ocol)
-            components.append(
-                (stage, beamsplitter(name, ins, outs, theta, phase), lineno)
-            )
-
-        elif directive == "mirror":
-            if len(tokens) < 2 or "=" in tokens[1][0]:
-                _fail("usage: mirror <name> stage=... in=... out=...", lineno, dcol)
-            name = tokens[1][0]
-            p = _LineParser(line, lineno, tokens[2:])
-            stage_txt, scol = p.take("stage")
-            in_txt, icol = p.take("in")
-            out_txt, ocol = p.take("out")
-            p.finish()
-            stage = _parse_int(stage_txt, lineno, scol)
-            arm_in = check_declared(in_txt, lineno, icol)
-            arm_out = check_declared(out_txt, lineno, ocol)
-            components.append((stage, mirror(name, arm_in, arm_out), lineno))
-
-        elif directive == "phase":
-            p = _LineParser(line, lineno, tokens[1:])
-            stage_txt, scol = p.take("stage")
-            arm_txt, acol = p.take("arm")
-            value_txt, vcol = p.take("value")
-            p.finish()
-            stage = _parse_int(stage_txt, lineno, scol)
-            arm = check_declared(arm_txt, lineno, acol)
-            value = _parse_float(value_txt, lineno, vcol)
-            components.append((stage, phase_plate(arm, value), lineno))
-
-        elif directive == "pass":
-            p = _LineParser(line, lineno, tokens[1:])
-            stage_txt, scol = p.take("stage")
-            arm_txt, acol = p.take("arm")
-            p.finish()
-            stage = _parse_int(stage_txt, lineno, scol)
-            arm = check_declared(arm_txt, lineno, acol)
-            passes.append((stage, arm, lineno))
+        elif directive in _STAGE_DIRECTIVES:
+            stage, element = _stage_directive(tokens, line, lineno, declared)
+            (passes if directive == "pass" else components).append((stage, element, lineno))
 
         else:
             _fail(f"unknown directive {directive!r}", lineno, dcol)
 
-    end = (max(n_lines, 1), 1)
+    end = (max(len(rows), 1), 1)
     if not slices:
         _fail("no slice declarations", *end)
     n_slices = max(slices) + 1
@@ -769,36 +744,22 @@ def serialize_network(layout: NetworkLayout) -> str:
     (floats are written in shortest round-trip decimal form); pass-through
     arms get explicit ``pass`` lines.
     """
-    lines: list[str] = []
-    seen: list[str] = []
-    for arms in layout.slices:
-        for arm in arms:
-            if arm not in seen:
-                seen.append(arm)
-    lines.extend(f"arm {a}" for a in seen)
+    # every arm once, in order of first appearance
+    lines = [f"arm {a}" for a in dict.fromkeys(a for arms in layout.slices for a in arms)]
     for k, arms in enumerate(layout.slices):
         lines.append(f"slice {k}: " + ", ".join(arms))
     lines.append(f"source {layout.source}")
     for stage in layout.stages:
         for i, comp in enumerate(stage.components):
+            wiring = f"stage={stage.index} in={','.join(comp.inputs)} out={','.join(comp.outputs)}"
             if comp.kind == "beamsplitter":
                 name = comp.name or f"BS{stage.index}_{i}"
-                lines.append(
-                    f"bs {name} stage={stage.index} in={','.join(comp.inputs)} "
-                    f"out={','.join(comp.outputs)} theta={comp.theta!r} "
-                    f"phase={comp.phase!r}"
-                )
+                lines.append(f"bs {name} {wiring} theta={comp.theta!r} phase={comp.phase!r}")
             elif comp.kind == "mirror":
-                name = comp.name or f"M{stage.index}_{i}"
-                lines.append(
-                    f"mirror {name} stage={stage.index} in={comp.inputs[0]} "
-                    f"out={comp.outputs[0]}"
-                )
+                lines.append(f"mirror {comp.name or f'M{stage.index}_{i}'} {wiring}")
             else:
-                lines.append(
-                    f"phase stage={stage.index} arm={comp.inputs[0]} "
-                    f"value={comp.phase!r}"
-                )
+                lines.append(f"phase stage={stage.index} arm={comp.inputs[0]} "
+                             f"value={comp.phase!r}")
         for arm in stage.pass_through:
             lines.append(f"pass stage={stage.index} arm={arm}")
     for port, arm in layout.detector_ports:

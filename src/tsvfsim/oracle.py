@@ -58,8 +58,8 @@ class GridSpec:
     points: int = 1025
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError("half_width must be positive and finite")
         if self.points < 3 or self.points % 2 == 0:
             raise ValueError("points must be an odd number >= 3")
 

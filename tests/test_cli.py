@@ -60,6 +60,9 @@ def test_parse_sweep_spec():
         parse_sweep_spec("0.1,-0.2")
     with pytest.raises(CliError):
         parse_sweep_spec("nope")
+    for spec in ("nan", "inf", "0.1:inf:0.1", "0.1xinfx5"):
+        with pytest.raises(CliError):
+            parse_sweep_spec(spec)
 
 
 # ---- subcommands ----
@@ -388,6 +391,25 @@ def test_register_too_large_exits_2(monkeypatch, capsys):
     assert "register" in err
 
 
+@pytest.mark.parametrize("argv,fragment", [
+    (["montecarlo", "--meter", "B@2:g=inf", "--meter", "E@3"], "coupling strength"),
+    (["montecarlo", "--meter", "B@2:g=nan", "--meter", "E@3"], "coupling strength"),
+    (["montecarlo", "--seed", "-1"], "seed"),
+    (["montecarlo", "--n", "0"], "need at least one reading"),
+    (["oracle", "--grid-points", "0"], "points"),
+    (["oracle", "--grid-points", "4"], "points"),
+    (["oracle", "--grid-half-width", "-1"], "half_width"),
+    (["oracle", "--grid-half-width", "nan"], "half_width"),
+    (["disturbance", "--sweep", "nan"], "sweep"),
+], ids=["g_inf", "g_nan", "negative_seed", "no_readings", "zero_points",
+        "even_points", "negative_half_width", "nan_half_width", "nan_sweep"])
+def test_out_of_range_number_exits_2(argv, fragment, capsys):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and fragment in err
+
+
 def test_custom_network_requires_port_choice(tmp_path, capsys):
     net = tmp_path / "mzi.net"
     net.write_text(DARK_MZI)
@@ -435,6 +457,22 @@ def test_config_meters_and_chains(tmp_path, capsys):
     assert {r["chain"] for r in rows if r["kind"] == "value"} == {
         "B@2>E@3", "C@2>E@3", "N@2>E@3"
     }
+
+
+@pytest.mark.parametrize("command,text,fragment", [
+    ("montecarlo", "[montecarlo]\nn = abc\n", "[montecarlo] n"),
+    ("montecarlo", "[scenario]\nseed = x\n", "[scenario] seed"),
+    ("oracle", "[grid]\npoints = 1.5\n", "[grid] points"),
+    ("weak-values", "[scenario]\nformat = xml\n", "[scenario] format"),
+    ("weak-values", "[scenario]\nnetwork = my%file.net\n", "'%file.net'"),
+], ids=["n", "seed", "points", "format", "percent"])
+def test_bad_config_value_exits_2(command, text, fragment, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    code, out, err = run_cli(command, "--config", str(cfg), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad config") and fragment in err
 
 
 def test_module_entry_point():

@@ -117,6 +117,17 @@ def test_attach_meter_validation(preset):
         attach_meter(exp, "B", T1, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("strength,sigma", [
+    (math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf), (0.1, math.nan),
+])
+def test_attach_meter_rejects_non_finite_numbers(preset, strength, sigma):
+    with pytest.raises(ValueError, match="finite"):
+        attach_meter(new_experiment(preset), "B", T1, strength, sigma)
+    if not math.isfinite(sigma):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianPointer(sigma)
+
+
 def test_attach_meter_assigns_sequential_ids(preset):
     exp = attach_meter(new_experiment(preset), "B", T1, 0.1, 1.0)
     exp = attach_meter(exp, "E", T2, 0.2, 1.0)

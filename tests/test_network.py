@@ -392,6 +392,71 @@ def test_non_finite_numbers_fail_at_their_value(text, old, new):
     assert line[err.value.column - 1:] == value
 
 
+# One stage directive on line 7 of a small valid network; each case is one
+# error path of the four stage directives, with its exact column and message.
+STAGE_LINE = ("arm a\narm b\narm c\nslice 0: a\nslice 1: b, c\nsource a\n{}\n"
+              "detector P1=b\ndetector P2=c\n")
+BS_USAGE = "usage: bs <name> stage=... in=... out=... theta=... phase=..."
+MIRROR_USAGE = "usage: mirror <name> stage=... in=... out=..."
+INVALID_AB = "invalid arm name 'a,b' (letters, digits and _ only)"
+
+
+@pytest.mark.parametrize("directive,column,message", [
+    ("bs", 1, BS_USAGE),
+    ("bs stage=0 in=a out=b,c", 1, BS_USAGE),
+    ("mirror", 1, MIRROR_USAGE),
+    ("mirror in=a stage=0 out=b", 1, MIRROR_USAGE),
+    ("bs s stage=0 in=a out=b,c junk", 27, "expected key=value, found 'junk'"),
+    ("phase stage=0 arm=a 0.5", 21, "expected key=value, found '0.5'"),
+    ("pass stage=0 a", 14, "expected key=value, found 'a'"),
+    ("mirror m stage=0 in=a in=a out=b", 23, "duplicate parameter 'in'"),
+    ("bs s stage=0 in=a out=b,c theta=1 theta=2", 35, "duplicate parameter 'theta'"),
+    ("pass stage=0 arm=a arm=a", 20, "duplicate parameter 'arm'"),
+    ("bs s stage=0 in= out=b,c", 14, "empty value for 'in'"),
+    ("phase stage=0 arm=a value=", 21, "empty value for 'value'"),
+    ("mirror m stage= in=a out=b", 10, "empty value for 'stage'"),
+    ("bs s stage=0 out=b,c", 21, "missing parameter 'in'"),
+    ("bs s in=a out=b,c", 18, "missing parameter 'stage'"),
+    ("mirror m stage=0 in=a", 22, "missing parameter 'out'"),
+    ("phase stage=0 arm=a", 20, "missing parameter 'value'"),
+    ("pass arm=a", 11, "missing parameter 'stage'"),
+    ("bs s stage=0 in=a out=b,c gain=2", 27, "unknown parameter 'gain'"),
+    ("mirror m stage=0 in=a out=b theta=1", 29, "unknown parameter 'theta'"),
+    ("pass stage=0 arm=a value=1", 20, "unknown parameter 'value'"),
+    ("phase stage=0 arm=a value=1 name=x", 29, "unknown parameter 'name'"),
+    ("bs s stage=zero in=a out=b,c", 12, "invalid integer 'zero'"),
+    ("mirror m stage=0.5 in=a out=b", 16, "invalid integer '0.5'"),
+    ("phase stage=x arm=a value=1", 13, "invalid integer 'x'"),
+    ("pass stage=1e0 arm=a", 12, "invalid integer '1e0'"),
+    ("bs s stage=0 in=a out=b,c theta=wide", 33, "invalid number 'wide'"),
+    ("bs s stage=0 in=a out=b,c phase=1,2", 33, "invalid number '1,2'"),
+    ("phase stage=0 arm=a value=pi", 27, "invalid number 'pi'"),
+    ("bs s stage=0 in=a out=b,c phase=-inf", 33, "non-finite number '-inf'"),
+    ("phase stage=0 arm=a value=nan", 27, "non-finite number 'nan'"),
+    ("bs s stage=0 in=a, out=b,c", 19, "empty arm in list"),
+    ("bs s stage=0 in=a out=b,,c", 25, "empty arm in list"),
+    ("bs s stage=0 in=,a out=b,c", 17, "empty arm in list"),
+    ("bs s stage=0 in=q out=b,c", 17, "unknown arm reference 'q'"),
+    ("bs s stage=0 in=a out=b,q", 25, "unknown arm reference 'q'"),
+    ("mirror m stage=0 in=a out=q", 27, "unknown arm reference 'q'"),
+    ("phase stage=0 arm=q value=1", 19, "unknown arm reference 'q'"),
+    ("pass stage=0 arm=q", 18, "unknown arm reference 'q'"),
+    ("mirror m stage=0 in=a,b out=c", 21, INVALID_AB),
+    ("bs s stage=0 in=a,b,c out=b,c", 17, "beamsplitter needs 1 or 2 input arms"),
+    ("bs s stage=0 in=a out=b", 23, "beamsplitter needs exactly 2 output arms"),
+    # which of two faults on one line is reported
+    ("bs s stage=0 in=a,b,c out=q", 27, "unknown arm reference 'q'"),
+    ("bs s stage=0 in=a out=b theta=x", 31, "invalid number 'x'"),
+    ("bs s stage=x in=q out=b junk=1", 25, "unknown parameter 'junk'"),
+    ("bs s stage=0 in=a,q, out=b,c", 21, "empty arm in list"),
+])
+def test_stage_directive_errors(directive, column, message):
+    with pytest.raises(NetworkParseError) as err:
+        parse_network(STAGE_LINE.format(directive))
+    assert (err.value.line, err.value.column) == (7, column)
+    assert str(err.value) == f"line 7, column {column}: {message}"
+
+
 # Stage 0 splits s onto A, B and passes N; stage 1 recombines A, B onto
 # C, D and passes N again.  Each case below breaks one structural rule.
 WIRED = """arm s

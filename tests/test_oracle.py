@@ -46,6 +46,12 @@ def test_grid_spec_validation():
     assert spec.axis[0] == -8.0 and spec.axis[-1] == 8.0
 
 
+@pytest.mark.parametrize("half_width", [math.inf, math.nan])
+def test_grid_spec_rejects_non_finite_half_width(half_width):
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(half_width)
+
+
 def test_default_grid_rule(preset):
     exp = attach_meter(new_experiment(preset), "B", T1, 0.4, 1.5)
     exp = attach_meter(exp, "E", T2, 0.2, 0.5)
