@@ -75,6 +75,7 @@ DISTURBANCE_TOL = 1e-10
 SLOPE_TARGET = 2.0
 SLOPE_TOL = 0.5
 Z_LIMIT = 4.0
+MAX_SWEEP_POINTS = 10_000
 
 _METER_RE = re.compile(r"^(?P<arm>\w+)@(?P<slice>\d+)(?::(?P<params>\S+))?$")
 _STEP_RE = re.compile(r"^(?P<arm>\w+)@(?P<slice>\d+)$")
@@ -129,7 +130,7 @@ def parse_chain_spec(text: str) -> tuple[tuple[str, int], ...]:
 
 def parse_sweep_spec(text: str) -> tuple[float, ...]:
     """Coupling sweep: ``a,b,c`` list, ``start:stop:step`` inclusive range,
-    or ``startxfactorxcount`` geometric ladder."""
+    or ``startxfactorxcount`` geometric ladder; at most MAX_SWEEP_POINTS values."""
     text = text.strip()
     try:
         if "x" in text:
@@ -137,16 +138,20 @@ def parse_sweep_spec(text: str) -> tuple[float, ...]:
             start, factor, count = float(start_s), float(factor_s), int(count_s)
             if count < 1 or start <= 0 or factor <= 0:
                 raise ValueError
-            values = tuple(start * factor ** k for k in range(count))
+            points = (start * factor ** k for k in range(count))
         elif ":" in text:
             start_s, stop_s, step_s = text.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
             if step <= 0 or stop < start:
                 raise ValueError
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            values = tuple(start + k * step for k in range(count))
+            points = (start + k * step for k in range(count))
         else:
-            values = tuple(float(v) for v in text.split(","))
+            points = text.split(",")
+            count = len(points)
+        if count > MAX_SWEEP_POINTS:
+            raise CliError(f"sweep spec {text!r} has {count} points (at most {MAX_SWEEP_POINTS})")
+        values = tuple(float(v) for v in points)
     except (ValueError, TypeError, OverflowError):
         raise CliError(
             f"bad sweep spec {text!r} (want a,b,c or start:stop:step or startxfactorxcount)"
@@ -205,7 +210,7 @@ def pick_port(layout, requested: str | None) -> str:
 
 
 # ----------------------------------------------------------------------
-# Subcommands: each returns (columns, rows, meta)
+# Subcommands: each returns (columns, rows of the cells it fills, meta)
 
 
 def cmd_weak_values(layout, port):
@@ -218,7 +223,7 @@ def cmd_weak_values(layout, port):
             value = sweep.weak_value(ArmProjector(arm, k)).value
             total += value
             rows.append({"kind": "value", "arm": arm, "slice": k,
-                         "re": value.real, "im": value.imag, "pass": None})
+                         "re": value.real, "im": value.imag})
         rows.append({"kind": "check", "arm": "sum", "slice": k,
                      "re": total.real, "im": total.imag,
                      "pass": abs(total - 1.0) < SUM_TOL})
@@ -243,35 +248,23 @@ def cmd_sequential(layout, port, chain_specs: list[tuple[tuple[str, int], ...]])
         declared[steps] = sweep.sequential_weak_value(chain).value
     for steps, value in declared.items():
         rows.append({"kind": "value", "chain": _chain_label(steps),
-                     "re": value.real, "im": value.imag, "pass": None})
+                     "re": value.real, "im": value.imag})
     # Marginal checks: wherever the declared chains differ only in the arm
     # at one slot, all on the same slice, and jointly cover every arm of
     # that slice, their sum must equal the chain with that slot removed.
-    seen_templates = set()
+    groups: dict[tuple, list[tuple[tuple[str, int], ...]]] = {}
     for steps in declared:
         for i, (_, slice_index) in enumerate(steps):
-            template = (steps[:i], slice_index, steps[i + 1:])
-            if template in seen_templates:
-                continue
-            seen_templates.add(template)
-            group = [s for s in declared
-                     if len(s) == len(steps) and s[:i] == template[0]
-                     and s[i][1] == slice_index and s[i + 1:] == template[2]]
-            arms = {s[i][0] for s in group}
-            if arms != set(layout.slices[slice_index]):
-                continue
-            total = sum(declared[s] for s in group)
-            reduced = steps[:i] + steps[i + 1:]
-            if reduced:
-                reference = sweep.sequential_weak_value(
-                    ProjectorChain.of(*reduced)
-                ).value
-            else:
-                reference = 1.0 + 0.0j
-            label = _chain_label(steps[:i] + (("*", slice_index),) + steps[i + 1:])
-            rows.append({"kind": "check", "chain": label,
-                         "re": total.real, "im": total.imag,
-                         "pass": abs(total - reference) < SUM_TOL})
+            groups.setdefault((steps[:i], slice_index, steps[i + 1:]), []).append(steps)
+    for (head, slice_index, tail), group in groups.items():
+        if {s[len(head)][0] for s in group} != set(layout.slices[slice_index]):
+            continue
+        total = sum(declared[s] for s in group)
+        reference = (sweep.sequential_weak_value(ProjectorChain.of(*head, *tail)).value
+                     if head + tail else 1.0 + 0.0j)
+        rows.append({"kind": "check", "chain": _chain_label(head + (("*", slice_index),) + tail),
+                     "re": total.real, "im": total.imag,
+                     "pass": abs(total - reference) < SUM_TOL})
     return columns, rows, {"port": port}
 
 
@@ -293,12 +286,8 @@ def cmd_disturbance(layout, port, meter: MeterSpec, probe: tuple[str, int],
         exp = build_experiment(layout, [MeterSpec(meter.arm, meter.slice_index,
                                                   g, meter.sigma)])
         p_probe = arm_probability(exp, probe_arm, probe_slice)
-        try:
-            p_port = postselect(run_coupled(exp), port).postselection_probability
-        except ZeroProbability:
-            p_port = 0.0
-        row = {"kind": "value", "g": g, "p_probe": p_probe, "p_port": p_port,
-               "closed_form": None, "deviation": None, "pass": None}
+        p_port = arm_probability(exp, layout.port_arm(port), layout.final_slice)
+        row = {"kind": "value", "g": g, "p_probe": p_probe, "p_port": p_port}
         if canonical:
             overlap = math.exp(-g * g / (8.0 * meter.sigma ** 2))
             closed = 0.25 * (1.0 - overlap)
@@ -311,9 +300,7 @@ def cmd_disturbance(layout, port, meter: MeterSpec, probe: tuple[str, int],
     # pointer overlap, so the shift away from the g=0 value must grow
     # with the coupling no matter which arm is probed
     grows = all(b - a > -1e-12 for a, b in zip(deviations, deviations[1:]))
-    rows.append({"kind": "check", "g": "monotone", "p_probe": None,
-                 "p_port": None, "closed_form": None, "deviation": None,
-                 "pass": grows})
+    rows.append({"kind": "check", "g": "monotone", "pass": grows})
     return columns, rows, {"port": port, "meter": meter.label(),
                            "probe": f"{probe_arm}@{probe_slice}",
                            "sigma": meter.sigma}
@@ -349,8 +336,7 @@ def cmd_meter_sweep(layout, port, meters: list[MeterSpec], sweep: tuple[float, .
         single_err = abs(single - single_exact)
         row = {"kind": "value", "g": g,
                "single_re": single.real, "single_im": single.imag,
-               "single_err": single_err,
-               "seq_re": None, "seq_im": None, "seq_err": None, "pass": None}
+               "single_err": single_err}
         single_errs.append(single_err)
         if seq_exact is not None:
             seq = estimate_sequential_weak_value(mixture, 0, 1)
@@ -369,9 +355,7 @@ def cmd_meter_sweep(layout, port, meters: list[MeterSpec], sweep: tuple[float, .
 
 
 def _slope_row(label: str, sweep, errs, err_column: str) -> dict:
-    row = {"kind": "check", "g": label, "single_re": None, "single_im": None,
-           "single_err": None, "seq_re": None, "seq_im": None, "seq_err": None,
-           "pass": None}
+    row = {"kind": "check", "g": label}
     # An estimator that is exact at every g has nothing to fit.
     if min(errs) > 1e-13:
         slope = float(np.polyfit(np.log(sweep), np.log(errs), 1)[0])
@@ -383,7 +367,8 @@ def _slope_row(label: str, sweep, errs, err_column: str) -> dict:
 def cmd_montecarlo(layout, port, meters: list[MeterSpec], n: int, seed: int):
     combos = [("x", "x"), ("p", "p"), ("x", "p"), ("p", "x")]
     try:
-        plans = [ReadoutPlan(combo, n, seed + k) for k, combo in enumerate(combos)]
+        ReadoutPlan(combos[0], n, seed)  # the given seed, checked before it wraps
+        plans = [ReadoutPlan(combo, n, (seed + k) % 2 ** 64) for k, combo in enumerate(combos)]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if len(meters) != 2:
@@ -479,7 +464,7 @@ def render_csv(columns, rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_cell(row.get(c)) for c in columns])
+        writer.writerow([_cell(row[c]) for c in columns])
     return buf.getvalue()
 
 
@@ -649,8 +634,9 @@ def main(argv=None) -> int:
             SamplingBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = [{key: _plain(value) for key, value in row.items()} for row in rows]
-    checks = [row["pass"] for row in rows if row.get("pass") is not None]
+    # every row gets every column; a cell its command left unfilled is None
+    rows = [{c: _plain(row.get(c)) for c in columns} for row in rows]
+    checks = [row["pass"] for row in rows if row["pass"] is not None]
     all_pass = all(checks)
     if fmt == "csv":
         text = render_csv(columns, rows)

@@ -127,13 +127,17 @@ class GaussianPointer:
 
 @dataclass(frozen=True)
 class MeterAttachment:
-    """One meter: which arm, which slice, coupling strength, pointer width."""
+    """One meter: its arm and slice, a strength (finite, >= 0) and a pointer width."""
 
     meter_id: int
     arm: str
     slice_index: int
     strength: float
     pointer: GaussianPointer
+
+    def __post_init__(self):
+        if not 0.0 <= self.strength < math.inf:
+            raise ValueError("coupling strength must be finite and >= 0")
 
     @property
     def sigma(self) -> float:
@@ -165,8 +169,6 @@ def attach_meter(
     finite, and an arm that is not on the given slice are rejected.
     """
     experiment.layout.arm_index(slice_index, arm)
-    if not 0.0 <= strength < math.inf:
-        raise ValueError("coupling strength must be finite and >= 0")
     meter = MeterAttachment(
         len(experiment.meters), arm, slice_index, float(strength),
         GaussianPointer(float(sigma)),

@@ -108,22 +108,13 @@ def _initial_pointer(sigma: float, spec: GridSpec) -> np.ndarray:
 
 
 def _displace(arr: np.ndarray, axis: int, g: float, spec: GridSpec) -> np.ndarray:
-    """Apply exp(-i g p), i.e. f(x) -> f(x - g), along one grid axis."""
-    if g == 0.0:
-        return arr
+    """Apply exp(-i g p), i.e. f(x) -> f(x - g), along one grid axis, for a
+    positive shift g (zero strengths are never coupled)."""
     steps = g / spec.spacing
     if abs(steps - round(steps)) < 1e-9:
         k = int(round(steps))
         out = np.zeros_like(arr)
-        src = [slice(None)] * arr.ndim
-        dst = [slice(None)] * arr.ndim
-        if k >= 0:
-            src[axis] = slice(0, arr.shape[axis] - k)
-            dst[axis] = slice(k, arr.shape[axis])
-        else:
-            src[axis] = slice(-k, arr.shape[axis])
-            dst[axis] = slice(0, arr.shape[axis] + k)
-        out[tuple(dst)] = arr[tuple(src)]
+        np.moveaxis(out, axis, 0)[k:] = np.moveaxis(arr, axis, 0)[:arr.shape[axis] - k]
         return out
     freq = 2.0 * math.pi * np.fft.fftfreq(arr.shape[axis], d=spec.spacing)
     shape = [1] * arr.ndim
@@ -344,6 +335,15 @@ def experiment_key(experiment: Experiment, port: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _probabilities(layout, marginals: dict[tuple[int, str], float]) -> dict[str, float]:
+    """Port and (arm, slice) probabilities from every slice's arm marginals:
+    a port fires with its arm's final-slice marginal."""
+    values = {f"P({name})": marginals[(layout.final_slice, layout.port_arm(name))]
+              for name in layout.ports}
+    values.update({f"P[{arm}@{k}]": p for (k, arm), p in marginals.items()})
+    return values
+
+
 def experiment_reports(experiment: Experiment, port: str,
                        spec: GridSpec | None = None) -> tuple[Report, Report]:
     """Matched analytic and grid reports for one experiment and port.
@@ -356,19 +356,10 @@ def experiment_reports(experiment: Experiment, port: str,
     layout = experiment.layout
     key = experiment_key(experiment, port)
 
-    analytic: dict[str, float] = {}
-    grid: dict[str, float] = {}
-
-    joint = run_coupled(experiment)
-    for name in layout.ports:
-        try:
-            analytic[f"P({name})"] = postselect(joint, name).postselection_probability
-        except ZeroProbability:
-            analytic[f"P({name})"] = 0.0
-    for k in range(layout.n_slices):
-        for arm in layout.slices[k]:
-            analytic[f"P[{arm}@{k}]"] = analytic_arm_probability(experiment, arm, k)
-    mixture = postselect(joint, port)
+    analytic = _probabilities(layout, {(k, arm): analytic_arm_probability(experiment, arm, k)
+                                       for k in range(layout.n_slices)
+                                       for arm in layout.slices[k]})
+    mixture = postselect(run_coupled(experiment), port)
     for meter in experiment.meters:
         mid = meter.meter_id
         analytic[f"m{mid}.x_mean"] = pointer_mean(mixture, mid, "x")
@@ -390,10 +381,7 @@ def experiment_reports(experiment: Experiment, port: str,
     marginals: dict[tuple[int, str], float] = {}
     state_array = _evolve(experiment, spec, layout.final_slice, marginals)
     final = GridState(layout.final_slice, experiment, spec, state_array)
-    for name in layout.ports:
-        grid[f"P({name})"] = marginals[(layout.final_slice, layout.port_arm(name))]
-    for (k, arm), p in marginals.items():
-        grid[f"P[{arm}@{k}]"] = p
+    grid = _probabilities(layout, marginals)
     grid.update(grid_moments(final, port))
     grid.pop("probability", None)
 

@@ -157,7 +157,8 @@ class _Density:
 
     def sample_block(self, seed: int, block_index: int, count: int):
         """Draw ``count`` readings from the block's own Philox stream."""
-        rng = np.random.Generator(np.random.Philox(key=[seed, block_index]))
+        # a list would turn seeds >= 2**63 into float64 and merge their streams
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, block_index], np.uint64)))
         t, m = self.half.shape
         out = np.empty((count, m))
         filled = 0
@@ -402,8 +403,9 @@ def calibrate_cost_model(
         raise ValueError("cost calibration needs a two-meter mixture")
     g1, g2 = (m.strength for m in mixture.meters)
     sigma = mixture.meters[0].sigma
+    ReadoutPlan(("x", "x"), n, seed)  # the given seed, checked before it wraps
     batches = [
-        sample_readings(mixture, ReadoutPlan((qa, qb), n, seed + k))
+        sample_readings(mixture, ReadoutPlan((qa, qb), n, (seed + k) % 2 ** 64))
         for k, (qa, qb) in enumerate([("x", "x"), ("p", "p"), ("x", "p"), ("p", "x")])
     ]
     est = estimate_from_samples(batches)

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -60,7 +61,8 @@ def test_parse_sweep_spec():
         parse_sweep_spec("0.1,-0.2")
     with pytest.raises(CliError):
         parse_sweep_spec("nope")
-    for spec in ("nan", "inf", "0.1:inf:0.1", "0.1xinfx5"):
+    for spec in ("nan", "inf", "0.1:inf:0.1", "0.1xinfx5",
+                 "0.4x0.5x100000000", "0.1:1e10:1e-10"):
         with pytest.raises(CliError):
             parse_sweep_spec(spec)
 
@@ -232,6 +234,27 @@ def test_json_format(capsys):
     assert all(r["pass"] is None for r in value_rows)
 
 
+@pytest.mark.parametrize("argv", [
+    ("weak-values",),
+    ("sequential", "--chain", "B@2,E@3", "--chain", "C@2,E@3", "--chain", "N@2,E@3"),
+    ("disturbance", "--sweep", "0.1,0.2"),
+    ("disturbance", "--probe", "F@3", "--sweep", "0.1,0.2"),
+    ("meter-sweep", "--sweep", "0.4x0.5x4"),
+    ("meter-sweep", "--meter", "B@2", "--sweep", "0.4x0.5x4"),
+    ("montecarlo", "--n", "2000"),
+    ("oracle", "--grid-points", "257"),
+], ids=["weak-values", "sequential", "disturbance", "disturbance-off-preset",
+        "meter-sweep", "meter-sweep-one-meter", "montecarlo", "oracle"])
+def test_json_rows_carry_every_column(argv, capsys):
+    code, out, _ = run_cli(*argv, "--format", "json", capsys=capsys)
+    assert code == 0
+    payload = json.loads(out)
+    kinds = {row["kind"] for row in payload["rows"]}
+    assert kinds == ({"value"} if argv[0] in ("montecarlo", "oracle") else {"value", "check"})
+    for row in payload["rows"]:
+        assert sorted(row) == sorted(payload["columns"])
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "wv.csv"
     code, out, _ = run_cli("weak-values", "--out", str(target), capsys=capsys)
@@ -383,6 +406,19 @@ def test_montecarlo_with_hopeless_acceptance_exits_2(tmp_path, capsys):
     assert "predicted acceptance" in err
 
 
+def test_disturbance_reads_dark_port_as_zero(tmp_path, capsys):
+    net = tmp_path / "mzi.net"
+    net.write_text(DARK_MZI)
+    code, out, _ = run_cli(
+        "disturbance", "--network", str(net), "--postselect", "PD",
+        "--meter", "bright@2", "--probe", "A@1", "--sweep", "0.1,0.2", capsys=capsys,
+    )
+    assert code == 0
+    values = [r for r in rows_of(out) if r["kind"] == "value"]
+    assert [r["p_port"] for r in values] == ["0.0", "0.0"]
+    assert all(float(r["p_probe"]) == pytest.approx(0.5, abs=1e-12) for r in values)
+
+
 def test_register_too_large_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(meter, "MAX_REGISTER_ENTRIES", 8)
     code, out, err = run_cli("montecarlo", "--n", "1000", capsys=capsys)
@@ -408,6 +444,31 @@ def test_out_of_range_number_exits_2(argv, fragment, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and fragment in err
+
+
+def test_seed_wraps_past_the_top_of_64_bits(capsys):
+    code, out, err = run_cli("montecarlo", "--n", "100", "--seed", str(2**64 - 1),
+                             capsys=capsys)
+    assert code == 0 and err == ""
+    assert {r["kind"] for r in rows_of(out)} == {"value"}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_exits_2(seed, capsys):
+    code, out, err = run_cli("montecarlo", "--n", "100", "--seed", str(seed), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must fit in 64 bits\n"
+
+
+@pytest.mark.parametrize("spec", ["0.4x0.5x100000000", "0.1:1e10:1e-10"])
+def test_oversized_sweep_exits_2_at_once(spec, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli("disturbance", "--sweep", spec, capsys=capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: sweep spec") and "points" in err
 
 
 def test_custom_network_requires_port_choice(tmp_path, capsys):

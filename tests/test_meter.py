@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from tsvfsim.meter import (
     Experiment,
     GaussianPointer,
+    MeterAttachment,
     ZeroProbability,
     arm_probability,
     attach_meter,
@@ -126,6 +127,12 @@ def test_attach_meter_rejects_non_finite_numbers(preset, strength, sigma):
     if not math.isfinite(sigma):
         with pytest.raises(ValueError, match="finite"):
             GaussianPointer(sigma)
+
+
+@pytest.mark.parametrize("strength", [-0.1, math.inf, math.nan])
+def test_meter_attachment_rejects_bad_strength(strength):
+    with pytest.raises(ValueError, match="coupling strength must be finite and >= 0"):
+        MeterAttachment(0, "B", T1, strength, GaussianPointer(1.0))
 
 
 def test_attach_meter_assigns_sequential_ids(preset):

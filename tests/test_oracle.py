@@ -23,7 +23,7 @@ from tsvfsim.oracle import (
     grid_moments,
     grid_run,
 )
-from tsvfsim.network import nested_mzi_preset, random_layout
+from tsvfsim.network import nested_mzi_preset, parse_network, random_layout
 from tsvfsim.tsvf import postselection_amplitude
 
 T1, T2 = 2, 3
@@ -158,6 +158,34 @@ def test_grid_moments_needs_final_slice(preset):
     state = grid_run(exp, to_slice=T2)
     with pytest.raises(ValueError):
         grid_moments(state, "D2")
+
+
+DARK_MZI = """
+arm s
+arm A
+arm B
+arm dark
+arm bright
+slice 0: s
+slice 1: A, B
+slice 2: dark, bright
+source s
+bs split stage=0 in=s out=A,B
+bs merge stage=1 in=A,B out=dark,bright
+detector PD=dark
+detector PB=bright
+"""
+
+
+def test_dark_port_reads_zero_on_the_analytic_route():
+    # the meter on the bright arm leaves the dark port exactly dark
+    layout = parse_network(DARK_MZI)
+    exp = attach_meter(new_experiment(layout), "bright", 2, 0.3, 1.0)
+    analytic, grid = experiment_reports(exp, "PB")
+    assert analytic.values["P(PD)"] == analytic.values["P[dark@2]"] == 0.0
+    assert grid.values["P(PD)"] == grid.values["P[dark@2]"] < 1e-30
+    assert analytic.values["P(PB)"] == pytest.approx(1.0, abs=1e-12)
+    assert compare(analytic, grid, 1e-10).all_pass
 
 
 def test_compare_rejects_mismatched_experiments(preset):

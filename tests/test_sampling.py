@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,24 @@ def test_different_seeds_differ(mixture):
     a = sample_readings(mixture, ReadoutPlan(("x", "x"), 1000, 1))
     b = sample_readings(mixture, ReadoutPlan(("x", "x"), 1000, 2))
     assert not np.array_equal(a.readings, b.readings)
+
+
+def test_seeds_past_2_63_draw_their_own_streams(mixture):
+    def readings(seed):
+        return sample_readings(mixture, ReadoutPlan(("x", "x"), 200, seed)).readings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.array_equal(readings(2**63), readings(2**63 + 1))
+        assert not np.array_equal(readings(2**64 - 1), readings(0))
+
+
+def test_calibration_seed_wraps_past_the_top_of_64_bits(mixture):
+    model = calibrate_cost_model(mixture, 0.5 + 0j, n=1000, seed=2**64 - 1)
+    assert model.constant > 0
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            calibrate_cost_model(mixture, 0.5 + 0j, n=1000, seed=seed)
 
 
 def test_partitioning_does_not_change_readings(mixture):
