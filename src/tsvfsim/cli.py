@@ -40,6 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .meter import (
+    QUADRATURE_PAIRS,
     RegisterTooLarge,
     ZeroProbability,
     arm_probability,
@@ -58,8 +59,8 @@ from .network import (
     nested_mzi_preset,
     parse_network,
 )
-from .oracle import GridSpec, compare, default_grid, experiment_reports
-from .sampling import ReadoutPlan, SamplingBudgetExceeded, estimate_from_samples, sample_readings
+from .oracle import GridSpec, GridTooLarge, GridTooSmall, compare, default_grid, experiment_reports
+from .sampling import SamplingBudgetExceeded, estimate_from_samples, readout_plans, sample_readings
 from .tsvf import (
     ArmProjector,
     DegeneratePostselection,
@@ -151,6 +152,11 @@ def parse_sweep_spec(text: str) -> tuple[float, ...]:
             count = len(points)
         if count > MAX_SWEEP_POINTS:
             raise CliError(f"sweep spec {text!r} has {count} points (at most {MAX_SWEEP_POINTS})")
+        if "x" in text and math.isfinite(start) and math.isfinite(factor):
+            with np.errstate(over="ignore"):  # the ladder's last point, before any is built
+                last = start * np.float64(factor) ** (count - 1)
+            if not 0 < last < math.inf:
+                raise CliError(f"sweep spec {text!r} leaves the float range at its last point")
         values = tuple(float(v) for v in points)
     except (ValueError, TypeError, OverflowError):
         raise CliError(
@@ -315,60 +321,46 @@ def cmd_meter_sweep(layout, port, meters: list[MeterSpec], sweep: tuple[float, .
         check_reference(layout, m.arm, m.slice_index, f"meter {m.label()}")
     columns = ("kind", "g", "single_re", "single_im", "single_err",
                "seq_re", "seq_im", "seq_err", "pass")
-    first = meters[0]
-    single_exact = weak_value(layout, port,
-                              ArmProjector(first.arm, first.slice_index)).value
-    seq_exact = None
-    if len(meters) >= 2:
-        steps = tuple((m.arm, m.slice_index) for m in meters[:2])
+    steps = tuple((m.arm, m.slice_index) for m in meters[:2])
+    estimators = [("single", weak_value(layout, port, ArmProjector(*steps[0])).value,
+                   lambda mixture: estimate_weak_value(mixture, 0))]
+    if len(steps) == 2:
         try:
-            seq_exact = sequential_weak_value(
-                layout, port, ProjectorChain.of(*steps)
-            ).value
+            seq_exact = sequential_weak_value(layout, port, ProjectorChain.of(*steps)).value
         except ValueError as exc:
             raise CliError(f"meters {steps} do not form a chain: {exc}") from exc
+        estimators.append(("seq", seq_exact,
+                           lambda mixture: estimate_sequential_weak_value(mixture, 0, 1)))
     rows = []
-    single_errs, seq_errs = [], []
     for g in sweep:
         specs = [MeterSpec(m.arm, m.slice_index, g, m.sigma) for m in meters]
         mixture = postselect(run_coupled(build_experiment(layout, specs)), port)
-        single = estimate_weak_value(mixture, 0)
-        single_err = abs(single - single_exact)
-        row = {"kind": "value", "g": g,
-               "single_re": single.real, "single_im": single.imag,
-               "single_err": single_err}
-        single_errs.append(single_err)
-        if seq_exact is not None:
-            seq = estimate_sequential_weak_value(mixture, 0, 1)
-            row["seq_re"], row["seq_im"] = seq.real, seq.imag
-            row["seq_err"] = abs(seq - seq_exact)
-            seq_errs.append(row["seq_err"])
+        row = {"kind": "value", "g": g}
+        for name, exact, estimate in estimators:
+            value = estimate(mixture)
+            row[f"{name}_re"], row[f"{name}_im"] = value.real, value.imag
+            row[f"{name}_err"] = abs(value - exact)
         rows.append(row)
-    rows.append(_slope_row("slope_single", sweep, single_errs, "single_err"))
-    if seq_exact is not None:
-        rows.append(_slope_row("slope_seq", sweep, seq_errs, "seq_err"))
+    slopes = [_slope_row(name, sweep, [row[f"{name}_err"] for row in rows])
+              for name, _, _ in estimators]
     meta = {"port": port, "meters": [m.label() for m in meters],
-            "single_exact": [single_exact.real, single_exact.imag]}
-    if seq_exact is not None:
-        meta["seq_exact"] = [seq_exact.real, seq_exact.imag]
-    return columns, rows, meta
+            **{f"{name}_exact": [exact.real, exact.imag] for name, exact, _ in estimators}}
+    return columns, rows + slopes, meta
 
 
-def _slope_row(label: str, sweep, errs, err_column: str) -> dict:
-    row = {"kind": "check", "g": label}
+def _slope_row(name: str, sweep, errs) -> dict:
+    row = {"kind": "check", "g": f"slope_{name}"}
     # An estimator that is exact at every g has nothing to fit.
     if min(errs) > 1e-13:
         slope = float(np.polyfit(np.log(sweep), np.log(errs), 1)[0])
-        row[err_column] = slope
+        row[f"{name}_err"] = slope
         row["pass"] = abs(slope - SLOPE_TARGET) <= SLOPE_TOL
     return row
 
 
 def cmd_montecarlo(layout, port, meters: list[MeterSpec], n: int, seed: int):
-    combos = [("x", "x"), ("p", "p"), ("x", "p"), ("p", "x")]
     try:
-        ReadoutPlan(combos[0], n, seed)  # the given seed, checked before it wraps
-        plans = [ReadoutPlan(combo, n, (seed + k) % 2 ** 64) for k, combo in enumerate(combos)]
+        plans = readout_plans(n, seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if len(meters) != 2:
@@ -390,7 +382,7 @@ def cmd_montecarlo(layout, port, meters: list[MeterSpec], n: int, seed: int):
         check(f"m{meter_id}.{quad}_mean", moment.value, moment.stderr,
               pointer_mean(mixture, meter_id, quad))
     ids = [m.meter_id for m in mixture.meters]
-    for qa, qb in combos:
+    for qa, qb in QUADRATURE_PAIRS:
         moment = est.pair_moments[(qa, qb)]
         check(f"corr.{qa}{ids[0]}_{qb}{ids[1]}", moment.value, moment.stderr,
               pointer_corr(mixture, (ids[0], qa), (ids[1], qb)))
@@ -631,7 +623,7 @@ def main(argv=None) -> int:
     try:
         columns, rows, meta, fmt = run(args)
     except (CliError, DegeneratePostselection, ZeroProbability, RegisterTooLarge,
-            SamplingBudgetExceeded) as exc:
+            SamplingBudgetExceeded, GridTooSmall, GridTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # every row gets every column; a cell its command left unfilled is None

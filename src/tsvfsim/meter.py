@@ -36,6 +36,7 @@ __all__ = [
     "MAX_REGISTER_ENTRIES",
     "MeterAttachment",
     "PointerMixture",
+    "QUADRATURE_PAIRS",
     "RegisterTooLarge",
     "ZERO_PROBABILITY_TOL",
     "ZeroProbability",
@@ -75,6 +76,10 @@ a bigger one raises :class:`RegisterTooLarge` before it is allocated."""
 
 class RegisterTooLarge(ValueError):
     """The joint register would hold more than ``MAX_REGISTER_ENTRIES``."""
+
+
+QUADRATURE_PAIRS = (("x", "x"), ("p", "p"), ("x", "p"), ("p", "x"))
+"""Quadrature pairs (first meter, second meter) of a two-meter readout, in order."""
 
 
 # ----------------------------------------------------------------------
@@ -397,18 +402,13 @@ def pointer_corr(
 def zeta_corr(mixture: PointerMixture, i: int, j: int) -> complex:
     """Two-meter complex readout correlator.
 
-    With ``zeta = x + 2 i sigma^2 p`` per meter, returns ``<zeta_i
-    zeta_j>`` assembled from the four jointly measurable real correlators
-    ``<x_i x_j>``, ``<p_i p_j>``, ``<x_i p_j>`` and ``<p_i x_j>``.
+    With ``zeta = x + 2 i sigma^2 p`` per meter, returns ``<zeta_i zeta_j>``
+    assembled from the four jointly measurable correlators of ``QUADRATURE_PAIRS``.
     """
     if i == j:
         raise ValueError("the readout correlator needs two distinct meters")
-    si = mixture.meter(i).sigma
-    sj = mixture.meter(j).sigma
-    xx = pointer_corr(mixture, (i, "x"), (j, "x"))
-    pp = pointer_corr(mixture, (i, "p"), (j, "p"))
-    xp = pointer_corr(mixture, (i, "x"), (j, "p"))
-    px = pointer_corr(mixture, (i, "p"), (j, "x"))
+    si, sj = mixture.meter(i).sigma, mixture.meter(j).sigma
+    xx, pp, xp, px = (pointer_corr(mixture, (i, qa), (j, qb)) for qa, qb in QUADRATURE_PAIRS)
     si2, sj2 = si * si, sj * sj
     return complex(
         xx - 4.0 * si2 * sj2 * pp,

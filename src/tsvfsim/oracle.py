@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meter import (ZERO_PROBABILITY_TOL, Experiment, ZeroProbability, pointer_corr,
-                    pointer_mean, postselect, run_coupled, zeta_corr)
+from .meter import (QUADRATURE_PAIRS, ZERO_PROBABILITY_TOL, Experiment, ZeroProbability,
+                    pointer_corr, pointer_mean, postselect, run_coupled, zeta_corr)
 from .meter import arm_probability as analytic_arm_probability
 from .network import serialize_network, stage_unitary
 
@@ -33,7 +33,9 @@ __all__ = [
     "ComparisonTable",
     "GridSpec",
     "GridState",
+    "GridTooLarge",
     "GridTooSmall",
+    "MAX_GRID_ENTRIES",
     "Report",
     "compare",
     "default_grid",
@@ -44,10 +46,16 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-10
+MAX_GRID_ENTRIES = 1 << 24
+"""Largest grid, ``arms * points**meters`` complex entries (256 MiB), checked before allocation."""
 
 
 class GridTooSmall(ValueError):
     """The grid cannot hold the pointer packets to the required accuracy."""
+
+
+class GridTooLarge(ValueError):
+    """The grid would hold more than ``MAX_GRID_ENTRIES`` entries."""
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,10 @@ def _displace(arr: np.ndarray, axis: int, g: float, spec: GridSpec) -> np.ndarra
 
 
 def _check_spec(experiment: Experiment, spec: GridSpec):
+    size = max(map(len, experiment.layout.slices)) * spec.points ** len(experiment.meters)
+    if size > MAX_GRID_ENTRIES:
+        raise GridTooLarge(f"{len(experiment.meters)} meters on {spec.points} points need a grid "
+                           f"of {size} entries (limit {MAX_GRID_ENTRIES})")
     for m in experiment.meters:
         need = 6.0 * m.sigma + 2.0 * m.strength
         if spec.half_width < need:
@@ -190,6 +202,8 @@ def grid_run(experiment: Experiment, spec: GridSpec | None = None,
     GridTooSmall
         If the grid cannot represent the initial packet to 1e-10 or is
         narrower than 6 sigma + 2 g for some meter.
+    GridTooLarge
+        If the grid would hold more than ``MAX_GRID_ENTRIES`` entries.
     ValueError
         If ``to_slice`` is not a slice of the layout.
     """
@@ -370,10 +384,8 @@ def experiment_reports(experiment: Experiment, port: str,
         for b in range(a + 1, len(experiment.meters)):
             mi = experiment.meters[a].meter_id
             mj = experiment.meters[b].meter_id
-            analytic[f"corr.x{mi}_x{mj}"] = pointer_corr(mixture, (mi, "x"), (mj, "x"))
-            analytic[f"corr.p{mi}_p{mj}"] = pointer_corr(mixture, (mi, "p"), (mj, "p"))
-            analytic[f"corr.x{mi}_p{mj}"] = pointer_corr(mixture, (mi, "x"), (mj, "p"))
-            analytic[f"corr.p{mi}_x{mj}"] = pointer_corr(mixture, (mi, "p"), (mj, "x"))
+            for qa, qb in QUADRATURE_PAIRS:
+                analytic[f"corr.{qa}{mi}_{qb}{mj}"] = pointer_corr(mixture, (mi, qa), (mj, qb))
             z = zeta_corr(mixture, mi, mj)
             analytic[f"zeta.{mi}_{mj}.re"] = z.real
             analytic[f"zeta.{mi}_{mj}.im"] = z.imag

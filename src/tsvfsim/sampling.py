@@ -12,8 +12,9 @@ partitioning of the same total sample count over workers reproduces the
 same readings bit for bit.
 
 Moment estimates carry jackknife standard errors over 50 blocks, and the
-four quadrature combinations of a two-meter run assemble into the complex
-sequential weak-value estimate with propagated errors.
+four quadrature pairs of a two-meter run (``meter.QUADRATURE_PAIRS``, one
+plan each from :func:`readout_plans`) assemble into the complex sequential
+weak-value estimate with propagated errors.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .meter import MeterAttachment, PointerMixture
+from .meter import QUADRATURE_PAIRS, MeterAttachment, PointerMixture
 
 __all__ = [
     "BLOCK_SIZE",
@@ -42,6 +43,7 @@ __all__ = [
     "calibrate_cost_model",
     "estimate_from_samples",
     "export_batch_csv",
+    "readout_plans",
     "required_samples",
     "sample_readings",
 ]
@@ -73,6 +75,12 @@ class ReadoutPlan:
             raise ValueError("need at least one reading")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
+
+
+def readout_plans(n: int, seed: int) -> list[ReadoutPlan]:
+    """One plan per ``QUADRATURE_PAIRS`` entry, in order; plan k is seeded ``(seed+k) % 2**64``."""
+    ReadoutPlan(QUADRATURE_PAIRS[0], n, seed)  # the given seed, checked before it wraps
+    return [ReadoutPlan(pair, n, (seed + k) % 2 ** 64) for k, pair in enumerate(QUADRATURE_PAIRS)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,8 +314,8 @@ def estimate_from_samples(batches: list[SampleBatch]) -> SampleEstimates:
     """Turn sampled readings into moment and weak-value estimates.
 
     Singles come from per-column means; two-meter batches contribute the
-    product moment of their quadrature pair.  When the four combinations
-    (xx, pp, xp, px) of one two-meter configuration are all present, the
+    product moment of their quadrature pair.  When the four pairs of
+    ``meter.QUADRATURE_PAIRS`` of one two-meter configuration are present, the
     complex readout correlator and the sequential weak-value estimate are
     assembled, with standard errors propagated in quadrature (batches are
     independent).
@@ -333,13 +341,11 @@ def estimate_from_samples(batches: list[SampleBatch]) -> SampleEstimates:
     degenerate = any(e.degenerate for e in singles.values()) or any(
         e.degenerate for e in pairs.values()
     )
-    needed = [("x", "x"), ("p", "p"), ("x", "p"), ("p", "x")]
-    if len(meters) != 2 or any(c not in pairs for c in needed):
+    if len(meters) != 2 or any(c not in pairs for c in QUADRATURE_PAIRS):
         return SampleEstimates(singles, pairs, degenerate=degenerate)
 
     s0, s1 = meters[0].sigma ** 2, meters[1].sigma ** 2
-    xx, pp = pairs[("x", "x")], pairs[("p", "p")]
-    xp, px = pairs[("x", "p")], pairs[("p", "x")]
+    xx, pp, xp, px = (pairs[c] for c in QUADRATURE_PAIRS)
     zeta = complex(
         xx.value - 4.0 * s0 * s1 * pp.value,
         2.0 * s1 * xp.value + 2.0 * s0 * px.value,
@@ -403,11 +409,7 @@ def calibrate_cost_model(
         raise ValueError("cost calibration needs a two-meter mixture")
     g1, g2 = (m.strength for m in mixture.meters)
     sigma = mixture.meters[0].sigma
-    ReadoutPlan(("x", "x"), n, seed)  # the given seed, checked before it wraps
-    batches = [
-        sample_readings(mixture, ReadoutPlan((qa, qb), n, (seed + k) % 2 ** 64))
-        for k, (qa, qb) in enumerate([("x", "x"), ("p", "p"), ("x", "p"), ("p", "x")])
-    ]
+    batches = [sample_readings(mixture, plan) for plan in readout_plans(n, seed)]
     est = estimate_from_samples(batches)
     rel = math.hypot(*est.sequential_stderr) / abs(exact)
     constant = rel ** 2 * n * (g1 * g2) ** 2 / sigma ** 4

@@ -62,7 +62,7 @@ def test_parse_sweep_spec():
     with pytest.raises(CliError):
         parse_sweep_spec("nope")
     for spec in ("nan", "inf", "0.1:inf:0.1", "0.1xinfx5",
-                 "0.4x0.5x100000000", "0.1:1e10:1e-10"):
+                 "0.4x0.5x100000000", "0.1:1e10:1e-10", "0.4x0.5x10000", "0.4x2x2000"):
         with pytest.raises(CliError):
             parse_sweep_spec(spec)
 
@@ -218,6 +218,15 @@ def test_oracle_subcommand(capsys):
                              "tol", "pass"]
     assert all(r["pass"] == "true" for r in rows)
     assert any(r["name"].startswith("zeta") for r in rows)
+
+
+def test_oracle_reports_three_meters(capsys):
+    code, out, _ = run_cli("oracle", "--meter", "B@2", "--meter", "C@2", "--meter", "E@3",
+                           "--grid-points", "129", capsys=capsys)
+    assert code == 0
+    rows = rows_of(out)
+    assert len(rows) == 45 and {r["kind"] for r in rows} == {"value"}
+    assert all(r["pass"] == "true" for r in rows)
 
 
 def test_json_format(capsys):
@@ -469,6 +478,37 @@ def test_oversized_sweep_exits_2_at_once(spec, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: sweep spec") and "points" in err
+
+
+@pytest.mark.parametrize("argv", [("disturbance", "--sweep", "0.4x0.5x10000"),
+                                  ("meter-sweep", "--sweep", "0.4x2x2000")])
+def test_ladder_leaving_the_float_range_exits_2(argv, capsys):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: sweep spec {argv[2]!r} leaves the float range at its last point\n"
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["oracle", "--grid-points", "9"], "discrete norm"),
+    (["oracle", "--grid-half-width", "1"], "half_width 1.0 < 6.6"),
+], ids=["coarse", "narrow"])
+def test_grid_too_small_exits_2(argv, fragment, capsys):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and fragment in err
+
+
+def test_grid_too_large_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli("oracle", "--meter", "B@2", "--meter", "C@2", "--meter", "E@3",
+                             capsys=capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == ("error: 3 meters on 1025 points need a grid of 3230671875 entries "
+                   "(limit 16777216)\n")
 
 
 def test_custom_network_requires_port_choice(tmp_path, capsys):

@@ -11,10 +11,12 @@ import math
 import numpy as np
 import pytest
 
+from tsvfsim import oracle
 from tsvfsim.meter import arm_probability, attach_meter, new_experiment
 from tsvfsim.oracle import (
     ComparisonTable,
     GridSpec,
+    GridTooLarge,
     GridTooSmall,
     compare,
     default_grid,
@@ -145,6 +147,16 @@ def test_underresolved_pointer_raises(preset):
     exp = attach_meter(new_experiment(preset), "B", T1, 0.3, 1.0)
     with pytest.raises(GridTooSmall, match="norm"):
         grid_run(exp, GridSpec(40.0, 9))
+
+
+def test_grid_bound_admits_its_size_and_rejects_the_next(monkeypatch, preset):
+    monkeypatch.setattr(oracle, "MAX_GRID_ENTRIES", 3 * 257 ** 2)
+    exp = attach_meter(attach_meter(new_experiment(preset), "B", T1, 0.3, 1.0),
+                       "E", T2, 0.3, 1.0)
+    analytic, grid = experiment_reports(exp, "D2", GridSpec(12.0, 257))
+    assert compare(analytic, grid).all_pass
+    with pytest.raises(GridTooLarge, match=r"2 meters on 259 points .* \(limit 198147\)"):
+        experiment_reports(exp, "D2", GridSpec(12.0, 259))
 
 
 def test_grid_run_slice_validation(preset):

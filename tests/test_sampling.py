@@ -16,6 +16,7 @@ from scipy import stats
 
 import tsvfsim
 from tsvfsim.meter import (
+    QUADRATURE_PAIRS,
     ZeroProbability,
     attach_meter,
     estimate_sequential_weak_value,
@@ -38,6 +39,7 @@ from tsvfsim.sampling import (
     calibrate_cost_model,
     estimate_from_samples,
     export_batch_csv,
+    readout_plans,
     required_samples,
     sample_readings,
 )
@@ -75,6 +77,16 @@ def test_plan_validation():
         ReadoutPlan(("x",), 100, -1)
     with pytest.raises(ValueError):
         ReadoutPlan(("x",), 100, 2**64)
+
+
+def test_readout_plans_follow_the_pairs_and_wrap_the_seed():
+    plans = readout_plans(100, 2**64 - 1)
+    assert [p.quadratures for p in plans] == list(QUADRATURE_PAIRS)
+    assert [p.seed for p in plans] == [2**64 - 1, 0, 1, 2]
+    assert {p.n for p in plans} == {100}
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            readout_plans(100, seed)
 
 
 def test_plan_must_cover_every_meter(mixture):
