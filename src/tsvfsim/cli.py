@@ -33,7 +33,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -54,11 +55,7 @@ from .meter import (
     run_coupled,
     zeta_corr,
 )
-from .network import (
-    NetworkParseError,
-    nested_mzi_preset,
-    parse_network,
-)
+from .network import nested_mzi_preset, parse_network
 from .oracle import GridSpec, GridTooLarge, GridTooSmall, compare, default_grid, experiment_reports
 from .sampling import SamplingBudgetExceeded, estimate_from_samples, readout_plans, sample_readings
 from .tsvf import (
@@ -84,6 +81,15 @@ _STEP_RE = re.compile(r"^(?P<arm>\w+)@(?P<slice>\d+)$")
 
 class CliError(Exception):
     """Input or scenario problem; reported on stderr with exit status 2."""
+
+
+@contextmanager
+def _input(label: str | None = None):
+    """Re-raise a ``ValueError`` from the block as a ``CliError`` prefixed by ``label``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(f"{label}: {exc}" if label else str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -178,27 +184,18 @@ def load_layout(spec: str):
     if not path.exists():
         raise CliError(f"network {spec!r} is neither a preset name nor a file")
     try:
-        return parse_network(path.read_text())
-    except NetworkParseError as exc:
-        raise CliError(f"{spec}: {exc}") from exc
+        with _input(spec):
+            return parse_network(path.read_text())
+    except OSError as exc:
+        raise CliError(f"cannot read network {spec!r}: {exc}") from exc
 
 
 def build_experiment(layout, meter_specs: list[MeterSpec]):
     exp = new_experiment(layout)
     for m in meter_specs:
-        try:
+        with _input(f"meter {m.label()}"):
             exp = attach_meter(exp, m.arm, m.slice_index, m.strength, m.sigma)
-        except ValueError as exc:
-            raise CliError(f"meter {m.label()}: {exc}") from exc
     return exp
-
-
-def check_reference(layout, arm: str, slice_index: int, what: str):
-    """Reject an ``arm@slice`` reference that is not on the layout."""
-    try:
-        layout.arm_index(slice_index, arm)
-    except ValueError as exc:
-        raise CliError(f"{what}: {exc}") from exc
 
 
 def pick_port(layout, requested: str | None) -> str:
@@ -244,13 +241,10 @@ def cmd_sequential(layout, port, chain_specs: list[tuple[tuple[str, int], ...]])
     for steps in chain_specs:
         if steps in declared:
             continue
-        what = f"chain {_chain_label(steps)}"
-        for arm, k in steps:
-            check_reference(layout, arm, k, what)
-        try:
+        with _input(f"chain {_chain_label(steps)}"):
+            for arm, k in steps:
+                layout.arm_index(k, arm)
             chain = ProjectorChain.of(*steps)
-        except ValueError as exc:
-            raise CliError(f"{what}: {exc}") from exc
         declared[steps] = sweep.sequential_weak_value(chain).value
     for steps, value in declared.items():
         rows.append({"kind": "value", "chain": _chain_label(steps),
@@ -282,15 +276,14 @@ def cmd_disturbance(layout, port, meter: MeterSpec, probe: tuple[str, int],
                     sweep: tuple[float, ...], canonical: bool):
     columns = ("kind", "g", "p_probe", "p_port", "closed_form", "deviation", "pass")
     probe_arm, probe_slice = probe
-    check_reference(layout, probe_arm, probe_slice, f"probe {probe_arm}@{probe_slice}")
-    base = build_experiment(layout, [MeterSpec(meter.arm, meter.slice_index,
-                                               0.0, meter.sigma)])
+    with _input(f"probe {probe_arm}@{probe_slice}"):
+        layout.arm_index(probe_slice, probe_arm)
+    base = build_experiment(layout, [replace(meter, strength=0.0)])
     p_unperturbed = arm_probability(base, probe_arm, probe_slice)
     rows = []
     deviations = []
     for g in sweep:
-        exp = build_experiment(layout, [MeterSpec(meter.arm, meter.slice_index,
-                                                  g, meter.sigma)])
+        exp = build_experiment(layout, [replace(meter, strength=g)])
         p_probe = arm_probability(exp, probe_arm, probe_slice)
         p_port = arm_probability(exp, layout.port_arm(port), layout.final_slice)
         row = {"kind": "value", "g": g, "p_probe": p_probe, "p_port": p_port}
@@ -317,23 +310,20 @@ def cmd_meter_sweep(layout, port, meters: list[MeterSpec], sweep: tuple[float, .
         raise CliError(f"meter-sweep needs at least 4 sweep points, got {len(sweep)}")
     if not meters:
         raise CliError("meter-sweep needs at least one --meter")
-    for m in meters:
-        check_reference(layout, m.arm, m.slice_index, f"meter {m.label()}")
+    build_experiment(layout, meters)  # every meter's reference, strength and width
     columns = ("kind", "g", "single_re", "single_im", "single_err",
                "seq_re", "seq_im", "seq_err", "pass")
     steps = tuple((m.arm, m.slice_index) for m in meters[:2])
     estimators = [("single", weak_value(layout, port, ArmProjector(*steps[0])).value,
                    lambda mixture: estimate_weak_value(mixture, 0))]
     if len(steps) == 2:
-        try:
+        with _input(f"meters {steps} do not form a chain"):
             seq_exact = sequential_weak_value(layout, port, ProjectorChain.of(*steps)).value
-        except ValueError as exc:
-            raise CliError(f"meters {steps} do not form a chain: {exc}") from exc
         estimators.append(("seq", seq_exact,
                            lambda mixture: estimate_sequential_weak_value(mixture, 0, 1)))
     rows = []
     for g in sweep:
-        specs = [MeterSpec(m.arm, m.slice_index, g, m.sigma) for m in meters]
+        specs = [replace(m, strength=g) for m in meters]
         mixture = postselect(run_coupled(build_experiment(layout, specs)), port)
         row = {"kind": "value", "g": g}
         for name, exact, estimate in estimators:
@@ -359,12 +349,12 @@ def _slope_row(name: str, sweep, errs) -> dict:
 
 
 def cmd_montecarlo(layout, port, meters: list[MeterSpec], n: int, seed: int):
-    try:
+    with _input():
         plans = readout_plans(n, seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     if len(meters) != 2:
         raise CliError("montecarlo needs exactly two --meter specs")
+    if meters[0].strength * meters[1].strength == 0.0:  # estimate_from_samples' rule
+        raise CliError("sequential estimate needs both couplings nonzero")
     columns = ("kind", "quantity", "estimate", "stderr", "exact", "z", "pass")
     mixture = postselect(run_coupled(build_experiment(layout, meters)), port)
     batches = [sample_readings(mixture, plan) for plan in plans]
@@ -386,8 +376,6 @@ def cmd_montecarlo(layout, port, meters: list[MeterSpec], n: int, seed: int):
         moment = est.pair_moments[(qa, qb)]
         check(f"corr.{qa}{ids[0]}_{qb}{ids[1]}", moment.value, moment.stderr,
               pointer_corr(mixture, (ids[0], qa), (ids[1], qb)))
-    if est.sequential is None:
-        raise CliError("sequential estimate needs both couplings nonzero")
     zeta_exact = zeta_corr(mixture, ids[0], ids[1])
     check("zeta.re", est.zeta.real, est.zeta_stderr[0], zeta_exact.real)
     check("zeta.im", est.zeta.imag, est.zeta_stderr[1], zeta_exact.imag)
@@ -411,11 +399,9 @@ def cmd_oracle(layout, port, meters: list[MeterSpec],
     columns = ("kind", "name", "analytic", "grid", "abs_dev", "tol", "pass")
     exp = build_experiment(layout, meters)
     fallback = default_grid(exp)
-    try:
+    with _input():
         spec = GridSpec(fallback.half_width if half_width is None else half_width,
                         fallback.points if points is None else points)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     analytic, grid = experiment_reports(exp, port, spec)
     table = compare(analytic, grid, 1e-7)
     rows = [

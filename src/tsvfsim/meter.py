@@ -34,6 +34,9 @@ __all__ = [
     "GaussianPointer",
     "JointState",
     "MAX_REGISTER_ENTRIES",
+    "MAX_SIGMA",
+    "MAX_STRENGTH",
+    "MIN_SIGMA",
     "MeterAttachment",
     "PointerMixture",
     "QUADRATURE_PAIRS",
@@ -76,6 +79,12 @@ a bigger one raises :class:`RegisterTooLarge` before it is allocated."""
 
 class RegisterTooLarge(ValueError):
     """The joint register would hold more than ``MAX_REGISTER_ENTRIES``."""
+
+
+MIN_SIGMA, MAX_SIGMA = 1e-50, 1e50
+MAX_STRENGTH = 1e50
+"""Bounds on a pointer width and a coupling strength: inside them sigma**4,
+(g/sigma)**2 and every matrix element stay within the float range."""
 
 
 QUADRATURE_PAIRS = (("x", "x"), ("p", "p"), ("x", "p"), ("p", "x"))
@@ -126,13 +135,14 @@ class GaussianPointer:
     sigma: float
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError("pointer width sigma must be positive and finite")
+        if not MIN_SIGMA <= self.sigma <= MAX_SIGMA:
+            raise ValueError(f"pointer width sigma must be finite, in [{MIN_SIGMA:g}, "
+                             f"{MAX_SIGMA:g}]")
 
 
 @dataclass(frozen=True)
 class MeterAttachment:
-    """One meter: its arm and slice, a strength (finite, >= 0) and a pointer width."""
+    """One meter: its arm and slice, a strength (0 to MAX_STRENGTH) and a pointer width."""
 
     meter_id: int
     arm: str
@@ -141,8 +151,8 @@ class MeterAttachment:
     pointer: GaussianPointer
 
     def __post_init__(self):
-        if not 0.0 <= self.strength < math.inf:
-            raise ValueError("coupling strength must be finite and >= 0")
+        if not 0.0 <= self.strength <= MAX_STRENGTH:
+            raise ValueError(f"coupling strength must be finite and >= 0, at most {MAX_STRENGTH:g}")
 
     @property
     def sigma(self) -> float:
@@ -170,8 +180,8 @@ def attach_meter(
     """Return a new experiment with one more meter on (arm, slice).
 
     The coupling strength may be zero (the meter then records nothing).  A
-    negative or non-finite strength, a width that is not positive and
-    finite, and an arm that is not on the given slice are rejected.
+    strength outside [0, MAX_STRENGTH], a width outside [MIN_SIGMA,
+    MAX_SIGMA] and an arm that is not on the given slice are rejected.
     """
     experiment.layout.arm_index(slice_index, arm)
     meter = MeterAttachment(

@@ -485,10 +485,11 @@ def random_layout(seed: int, max_arms: int = 5, max_stages: int = 5) -> NetworkL
 #
 # '#' starts a comment. Arms must be declared before use. The four stage
 # directives (bs to pass) are read from _STAGE_DIRECTIVES. The structural
-# rules (stage k consumes each arm of slice k once and produces each arm of
-# slice k + 1 once, the source is on slice 0, each detector on its own
-# final-slice arm) are validate_network's; a violation is reported at the
-# line of the directive it concerns.
+# rules (a slice lists each arm once, stage k consumes each arm of slice k
+# once and produces each arm of slice k + 1 once, the source is on slice 0,
+# each port is declared once, on its own final-slice arm) are
+# validate_network's; a violation is reported at the line of the directive
+# it concerns.
 
 _TOKEN_RE = re.compile(r"\S+")
 _KV_RE = re.compile(r"^([A-Za-z_]+)=(.*)$")
@@ -627,7 +628,7 @@ def parse_network(text: str) -> NetworkLayout:
         ``slice``, ``source`` or ``detector`` line) and column 1.
     """
     declared: dict[str, int] = {}
-    slices: dict[int, tuple[list[str], int]] = {}
+    slices: dict[int, tuple[tuple[str, ...], int]] = {}
     source: tuple[str, int] | None = None
     detectors: list[tuple[str, str, int]] = []
     components: list[tuple[int, ComponentSpec, int]] = []  # (stage, spec, line)
@@ -658,14 +659,7 @@ def parse_network(text: str) -> NetworkLayout:
             k = int(m.group(1))
             if k in slices:
                 _fail(f"slice {k} declared twice", lineno, dcol)
-            body, body_col = m.group(2), m.start(2) + 1
-            if not body.strip():
-                _fail(f"slice {k} lists no arms", lineno, body_col)
-            arms = list(_parse_arms(body, lineno, body_col, declared))
-            dupes = [a for a, c in Counter(arms).items() if c > 1]
-            if dupes:
-                _fail(f"arm {dupes[0]!r} listed twice on slice {k}", lineno, body_col)
-            slices[k] = (arms, lineno)
+            slices[k] = (_parse_arms(m.group(2), lineno, m.start(2) + 1, declared), lineno)
 
         elif directive == "source":
             if len(tokens) != 2:
@@ -684,8 +678,6 @@ def parse_network(text: str) -> NetworkLayout:
             port, arm = text_.split("=", 1)
             if not port:
                 _fail("empty detector port name", lineno, col)
-            if any(port == p for p, _, _ in detectors):
-                _fail(f"detector port {port!r} declared twice", lineno, col)
             arm = _parse_arm(arm, lineno, col + len(port) + 1, declared)
             detectors.append((port, arm, lineno))
 
@@ -725,7 +717,7 @@ def parse_network(text: str) -> NetworkLayout:
             lines.setdefault(("stage", pos), line)
 
     layout = NetworkLayout(
-        slices=tuple(tuple(slices[k][0]) for k in range(n_slices)),
+        slices=tuple(slices[k][0] for k in range(n_slices)),
         stages=tuple(stages),
         source=source[0],
         detector_ports=tuple((port, arm) for port, arm, _ in detectors),

@@ -34,6 +34,7 @@ __all__ = [
     "CANDIDATE_BUDGET",
     "CostModel",
     "JACKKNIFE_BLOCKS",
+    "MAX_READINGS",
     "MIN_SAMPLES",
     "MomentEstimate",
     "ReadoutPlan",
@@ -54,6 +55,8 @@ MIN_SAMPLES = 100
 CANDIDATE_BUDGET = 1 << 22
 """Most rejection candidates one block of ``BLOCK_SIZE`` readings may draw,
 enough for an acceptance down to about 1e-3."""
+MAX_READINGS = 1 << 26
+"""Most values one plan may ask for, ``n * len(quadratures)`` (512 MiB of float64)."""
 
 
 class SamplingBudgetExceeded(RuntimeError):
@@ -73,6 +76,9 @@ class ReadoutPlan:
             raise ValueError("quadratures must be 'x' or 'p'")
         if self.n < 1:
             raise ValueError("need at least one reading")
+        if self.n * len(self.quadratures) > MAX_READINGS:
+            raise ValueError(f"{self.n} readings of {len(self.quadratures)} quadratures "
+                             f"need {self.n * len(self.quadratures)} values (limit {MAX_READINGS})")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 

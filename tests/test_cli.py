@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from tsvfsim import meter
+from tsvfsim import cli, meter
 from tsvfsim.cli import (
     main,
     cmd_sequential,
@@ -128,6 +128,13 @@ def test_unknown_arm_or_slice_reference_exits_2(argv, capsys):
     assert err.startswith("error: ")
 
 
+def test_sequential_chain_given_twice_yields_one_row(capsys):
+    code, out, _ = run_cli("sequential", "--chain", "B@2,E@3", "--chain", "B@2,E@3",
+                           capsys=capsys)
+    assert code == 0
+    assert [r["chain"] for r in rows_of(out)] == ["B@2>E@3"]
+
+
 def test_sequential_no_marginal_without_coverage(capsys):
     code, out, _ = run_cli("sequential", "--chain", "B@2,E@3", capsys=capsys)
     assert code == 0
@@ -200,6 +207,20 @@ def test_montecarlo_same_seed_identical_bytes(capsys):
     _, out1, _ = run_cli(*args, capsys=capsys)
     _, out2, _ = run_cli(*args, capsys=capsys)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("meters", [("B@2:g=0", "E@3"), ("B@2:g=1e-200", "E@3:g=1e-200")],
+                         ids=["zero", "product_underflows"])
+def test_montecarlo_zero_coupling_exits_2_before_sampling(meters, monkeypatch, capsys):
+    def no_sampling(*args):
+        raise AssertionError("a reading was drawn")
+
+    monkeypatch.setattr(cli, "sample_readings", no_sampling)
+    code, out, err = run_cli("montecarlo", "--meter", meters[0], "--meter", meters[1],
+                             capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: sequential estimate needs both couplings nonzero\n"
 
 
 def test_montecarlo_needs_two_meters(capsys):
@@ -446,8 +467,25 @@ def test_register_too_large_exits_2(monkeypatch, capsys):
     (["oracle", "--grid-half-width", "-1"], "half_width"),
     (["oracle", "--grid-half-width", "nan"], "half_width"),
     (["disturbance", "--sweep", "nan"], "sweep"),
+    (["weak-values", "--meter", "B@2:g=x"], "bad number 'x' in meter spec 'B@2:g=x'"),
+    (["disturbance", "--sweep", "0.4x0.5x0"], "bad sweep spec '0.4x0.5x0'"),
+    (["disturbance", "--sweep", "0.1:0.3:0"], "bad sweep spec '0.1:0.3:0'"),
+    (["montecarlo", "--meter", "B@2:g=1e200", "--meter", "E@3", "--n", "100"],
+     "meter B@2: coupling strength must be finite and >= 0, at most 1e+50"),
+    (["disturbance", "--sweep", "1e300x10x9"], "coupling strength"),
+    (["meter-sweep", "--meter", "C@2:g=0,sigma=1e200", "--meter", "E@3:g=0"],
+     "meter C@2: pointer width sigma must be finite, in [1e-50, 1e+50]"),
+    (["disturbance", "--meter", "B@2:g=0,sigma=1e-200"], "pointer width sigma"),
+    (["montecarlo", "--meter", "B@2:sigma=1e-200", "--meter", "E@3", "--n", "100"],
+     "pointer width sigma"),
+    (["oracle", "--meter", "B@2:sigma=1e-200"], "pointer width sigma"),
+    (["montecarlo", "--n", "100000000000"],
+     "100000000000 readings of 2 quadratures need 200000000000 values (limit 67108864)"),
 ], ids=["g_inf", "g_nan", "negative_seed", "no_readings", "zero_points",
-        "even_points", "negative_half_width", "nan_half_width", "nan_sweep"])
+        "even_points", "negative_half_width", "nan_half_width", "nan_sweep",
+        "g_not_a_number", "empty_ladder", "zero_step", "g_past_bound", "sweep_past_bound",
+        "sigma_past_bound", "sigma_below_bound", "montecarlo_sigma_below_bound",
+        "oracle_sigma_below_bound", "readings_past_bound"])
 def test_out_of_range_number_exits_2(argv, fragment, capsys):
     code, out, err = run_cli(*argv, capsys=capsys)
     assert code == 2
@@ -509,6 +547,45 @@ def test_grid_too_large_exits_2_at_once(capsys):
     assert out == ""
     assert err == ("error: 3 meters on 1025 points need a grid of 3230671875 entries "
                    "(limit 16777216)\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["weak-values", "--meter", "B@2:g"], "bad meter parameter 'g' in 'B@2:g'"),
+    (["weak-values", "--network", "nope"], "network 'nope' is neither a preset name nor a file"),
+    (["sequential", "--chain", "E@3,B@2"],
+     "chain E@3>B@2: projector chain slices must be strictly increasing (got [3, 2]); "
+     "same-slice distinct arms are orthogonal"),
+    (["meter-sweep", "--meter", "E@3", "--meter", "B@2"],
+     "meters (('E', 3), ('B', 2)) do not form a chain: projector chain slices must be "
+     "strictly increasing (got [3, 2]); same-slice distinct arms are orthogonal"),
+    (["meter-sweep", "--meter", "B@2:sigma=0", "--meter", "Z@9"],
+     "meter B@2: pointer width sigma must be finite, in [1e-50, 1e+50]"),
+    (["disturbance", "--meter", "B@2", "--meter", "E@3"], "disturbance tracks a single meter"),
+    (["disturbance", "--probe", "B@2,E@3"], "bad probe 'B@2,E@3' (want arm@slice)"),
+    (["disturbance", "--probe", "nope"], "bad probe 'nope' (want arm@slice)"),
+    (["weak-values", "--config", "{tmp}/missing.ini"],
+     "cannot read config '{tmp}/missing.ini': [Errno 2] No such file or directory: "
+     "'{tmp}/missing.ini'"),
+    (["weak-values", "--network", "{tmp}"],
+     "cannot read network '{tmp}': [Errno 21] Is a directory: '{tmp}'"),
+], ids=["meter_param_without_value", "unknown_network", "chain_out_of_order",
+        "meters_out_of_order", "first_bad_meter_first", "two_disturbance_meters",
+        "probe_chain", "probe_without_slice", "missing_config", "network_directory"])
+def test_bad_input_exits_2_with_its_message(argv, message, tmp_path, capsys):
+    code, out, err = run_cli(*[a.format(tmp=tmp_path) for a in argv], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message.format(tmp=tmp_path)}\n"
+
+
+def test_undecodable_network_file_exits_2(tmp_path, capsys):
+    net = tmp_path / "binary.net"
+    net.write_bytes(b"arm a\n\xff\xfe\n")
+    code, out, err = run_cli("weak-values", "--network", str(net), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {net}: 'utf-8' codec can't decode byte 0xff in position 6: "
+                   "invalid start byte\n")
 
 
 def test_custom_network_requires_port_choice(tmp_path, capsys):

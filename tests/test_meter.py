@@ -12,6 +12,9 @@ import pytest
 from scipy.integrate import quad
 
 from tsvfsim.meter import (
+    MAX_SIGMA,
+    MAX_STRENGTH,
+    MIN_SIGMA,
     Experiment,
     GaussianPointer,
     MeterAttachment,
@@ -129,10 +132,46 @@ def test_attach_meter_rejects_non_finite_numbers(preset, strength, sigma):
             GaussianPointer(sigma)
 
 
-@pytest.mark.parametrize("strength", [-0.1, math.inf, math.nan])
+@pytest.mark.parametrize("strength", [-0.1, math.inf, math.nan, 1e51])
 def test_meter_attachment_rejects_bad_strength(strength):
     with pytest.raises(ValueError, match="coupling strength must be finite and >= 0"):
         MeterAttachment(0, "B", T1, strength, GaussianPointer(1.0))
+
+
+def test_bounds_admit_their_edges_and_reject_past_them():
+    for sigma in (MIN_SIGMA, MAX_SIGMA):
+        assert GaussianPointer(sigma).sigma == sigma
+    for sigma in (MIN_SIGMA / 10, MAX_SIGMA * 10):
+        with pytest.raises(ValueError, match="pointer width sigma must be finite"):
+            GaussianPointer(sigma)
+    edge = MeterAttachment(0, "B", T1, MAX_STRENGTH, GaussianPointer(1.0))
+    assert edge.strength == MAX_STRENGTH
+
+
+@pytest.mark.parametrize("g,sigma", [
+    (MAX_STRENGTH, MIN_SIGMA), (MAX_STRENGTH, MAX_SIGMA), (0.3, MIN_SIGMA), (0.3, MAX_SIGMA),
+])
+def test_moments_stay_finite_at_the_bounds(preset, g, sigma):
+    exp = attach_meter(attach_meter(new_experiment(preset), "B", T1, g, sigma), "E", T2, g, sigma)
+    mix = postselect(run_coupled(exp), "D2")
+    values = [pointer_mean(mix, 0, "x"), pointer_corr(mix, (0, "p"), (0, "p")),
+              estimate_sequential_weak_value(mix, 0, 1), arm_probability(exp, "E", T2)]
+    assert all(math.isfinite(abs(v)) for v in values)
+    assert zeta_corr(mix, 0, 1) == pytest.approx(zeta_corr_direct(mix, 0, 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda mix: pointer_corr(mix, (0, "y"), (1, "x")), "quadrature must be 'x' or 'p'"),
+    (lambda mix: zeta_corr(mix, 0, 0), "the readout correlator needs two distinct meters"),
+    (lambda mix: zeta_corr_direct(mix, 1, 1), "the readout correlator needs two distinct meters"),
+    (lambda mix: estimate_sequential_weak_value(mix, 0, 1),
+     "cannot estimate a weak value from a zero-strength meter"),
+], ids=["bad_quadrature", "zeta_one_meter", "zeta_direct_one_meter", "zero_strength"])
+def test_two_meter_moments_reject_bad_input(preset, call, message):
+    exp = attach_meter(attach_meter(new_experiment(preset), "B", T1, 0.3, 1.0), "E", T2, 0.0, 1.0)
+    with pytest.raises(ValueError) as err:
+        call(postselect(run_coupled(exp), "D2"))
+    assert str(err.value) == message
 
 
 def test_attach_meter_assigns_sequential_ids(preset):

@@ -222,6 +222,19 @@ def _tiny_layout(stages):
     )
 
 
+@pytest.mark.parametrize("slices,ports,message", [
+    ((), (), "layout has no slices"),
+    ((("a",), ()), (), "slice 1 is empty"),
+    ((("a", "b-c"),), (), "slice 0: invalid arm name 'b-c' (letters, digits and _ only)"),
+    ((("a", "a"),), (), "arm a listed twice on slice 0"),
+    ((("a",),), (("P", "a"), ("P", "a")), "detector port P declared twice"),
+], ids=["no_slices", "empty_slice", "invalid_arm", "arm_twice", "port_twice"])
+def test_validate_reports_slice_and_port_rules(slices, ports, message):
+    stages = tuple(Stage(k, ()) for k in range(len(slices) - 1))
+    layout = NetworkLayout(slices=slices, stages=stages, source="a", detector_ports=ports)
+    assert message in validate_network(layout)
+
+
 def test_validate_reports_double_consumption():
     stage = Stage(0, (
         beamsplitter("x", ("a", "b"), ("c", "d")),
@@ -363,6 +376,22 @@ def test_random_layout_round_trips(seed):
     ("arm a\nslice 0: a\nslice 1: a\nsource a\nbs s stage=0 out=a theta=1\n",
      5, "missing parameter 'in'"),
     ("arm a\nslice 0: a\nsource a\nwormhole x\n", 4, "unknown directive"),
+    ("arm a-b\n", 1, "column 5: invalid arm name 'a-b' (letters, digits and _ only)"),
+    ("arm a\nslice 0: a\nslice 0: a\n", 3, "slice 0 declared twice"),
+    ("arm a\nslice 0: a\nsource\n", 3, "usage: source <arm>"),
+    ("arm a\nslice 0: a\nsource a\nsource a\n", 4, "source declared twice"),
+    ("arm a\nslice 0: a\nsource a\ndetector P = a\n", 4, "usage: detector <port>=<arm>"),
+    ("arm a\nslice 0: a\nsource a\ndetector Pa\n", 4, "column 10: usage: detector <port>=<arm>"),
+    ("arm a\nslice 0: a\nsource a\ndetector =a\n", 4, "empty detector port name"),
+    ("arm a\nslice 0: a\nsource a\ndetector Q=\n", 4, "column 12: empty arm name"),
+    ("arm a\narm b\n", 2, "no slice declarations"),
+    ("arm a\nslice 0: a\nslice 2: a\n", 3, "missing declaration for slice 1"),
+    # rules validate_network owns, reported at their directive
+    ("arm a\nslice 0: a\nsource a\nslice 1:\n", 4, "column 9: empty arm in list"),
+    ("arm a\nslice 0: a\nslice 1: a, a\nsource a\ndetector P=a\n",
+     3, "column 1: arm a listed twice on slice 1"),
+    ("arm a\nslice 0: a\nsource a\ndetector P=a\ndetector P=a\n",
+     5, "column 1: detector port P declared twice"),
 ])
 def test_parse_errors_carry_position(text, line, fragment):
     with pytest.raises(NetworkParseError) as err:

@@ -7,12 +7,13 @@ every probability and moment is the library's strongest self-check.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tsvfsim import oracle
-from tsvfsim.meter import arm_probability, attach_meter, new_experiment
+from tsvfsim.meter import ZeroProbability, arm_probability, attach_meter, new_experiment
 from tsvfsim.oracle import (
     ComparisonTable,
     GridSpec,
@@ -198,6 +199,23 @@ def test_dark_port_reads_zero_on_the_analytic_route():
     assert grid.values["P(PD)"] == grid.values["P[dark@2]"] < 1e-30
     assert analytic.values["P(PB)"] == pytest.approx(1.0, abs=1e-12)
     assert compare(analytic, grid, 1e-10).all_pass
+
+
+def test_grid_moments_on_a_dark_port_raise():
+    # no path leads from the source to port PD, so its arm holds exact zeros
+    layout = parse_network("arm s\narm u\narm lit\narm dark\nslice 0: s, u\n"
+                           "slice 1: lit, dark\nsource s\nmirror m stage=0 in=s out=lit\n"
+                           "mirror n stage=0 in=u out=dark\ndetector PL=lit\ndetector PD=dark\n")
+    exp = attach_meter(new_experiment(layout), "lit", 1, 0.3, 1.0)
+    with pytest.raises(ZeroProbability, match="port 'PD' fires with probability 0.000e"):
+        grid_moments(grid_run(exp), "PD")
+
+
+def test_compare_rejects_reports_without_common_names(preset):
+    analytic, grid = experiment_reports(new_experiment(preset), "D2")
+    renamed = replace(grid, values={f"grid.{k}": v for k, v in grid.values.items()})
+    with pytest.raises(ValueError, match="reports share no quantities"):
+        compare(analytic, renamed)
 
 
 def test_compare_rejects_mismatched_experiments(preset):

@@ -32,6 +32,7 @@ from tsvfsim.tsvf import forward_state
 from tsvfsim.sampling import (
     BLOCK_SIZE,
     CANDIDATE_BUDGET,
+    MAX_READINGS,
     MIN_SAMPLES,
     CostModel,
     ReadoutPlan,
@@ -77,6 +78,25 @@ def test_plan_validation():
         ReadoutPlan(("x",), 100, -1)
     with pytest.raises(ValueError):
         ReadoutPlan(("x",), 100, 2**64)
+
+
+def test_plan_bounds_its_readings():
+    # criterion 7's run and the CLI default: 10**6 readings of two quadratures
+    assert {p.n for p in readout_plans(1_000_000, 0)} == {1_000_000}
+    assert ReadoutPlan(("x", "x"), MAX_READINGS // 2, 0).n == MAX_READINGS // 2
+    with pytest.raises(ValueError) as err:
+        ReadoutPlan(("x", "x"), MAX_READINGS // 2 + 1, 0)
+    assert str(err.value).endswith(f"need {MAX_READINGS + 2} values (limit {MAX_READINGS})")
+
+
+def test_estimates_need_batches():
+    with pytest.raises(ValueError, match="no batches given"):
+        estimate_from_samples([])
+
+
+def test_calibration_needs_two_meters():
+    with pytest.raises(ValueError, match="cost calibration needs a two-meter mixture"):
+        calibrate_cost_model(one_meter_mixture(0.3), 0.5)
 
 
 def test_readout_plans_follow_the_pairs_and_wrap_the_seed():
