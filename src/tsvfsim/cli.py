@@ -33,7 +33,7 @@ import json
 import math
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -41,6 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .meter import (
+    MIN_COUPLING_PRODUCT,
     QUADRATURE_PAIRS,
     RegisterTooLarge,
     ZeroProbability,
@@ -145,7 +146,7 @@ def parse_sweep_spec(text: str) -> tuple[float, ...]:
             start, factor, count = float(start_s), float(factor_s), int(count_s)
             if count < 1 or start <= 0 or factor <= 0:
                 raise ValueError
-            points = (start * factor ** k for k in range(count))
+            points = (_ladder_point(start, factor, k) for k in range(count))
         elif ":" in text:
             start_s, stop_s, step_s = text.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
@@ -159,9 +160,7 @@ def parse_sweep_spec(text: str) -> tuple[float, ...]:
         if count > MAX_SWEEP_POINTS:
             raise CliError(f"sweep spec {text!r} has {count} points (at most {MAX_SWEEP_POINTS})")
         if "x" in text and math.isfinite(start) and math.isfinite(factor):
-            with np.errstate(over="ignore"):  # the ladder's last point, before any is built
-                last = start * np.float64(factor) ** (count - 1)
-            if not 0 < last < math.inf:
+            if not 0 < _ladder_point(start, factor, count - 1) < math.inf:
                 raise CliError(f"sweep spec {text!r} leaves the float range at its last point")
         values = tuple(float(v) for v in points)
     except (ValueError, TypeError, OverflowError):
@@ -171,6 +170,14 @@ def parse_sweep_spec(text: str) -> tuple[float, ...]:
     if not values or not all(0 < v < math.inf for v in values):
         raise CliError("sweep values must be positive and finite")
     return values
+
+
+def _ladder_point(start: float, factor: float, k: int) -> float:
+    """``start * factor ** k``, split at ``k // 2`` where the power alone leaves the float range."""
+    with suppress(OverflowError):
+        if k < 2 or factor ** k > 0:
+            return start * factor ** k
+    return _ladder_point(_ladder_point(start, factor, k // 2), factor, k - k // 2)
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +326,8 @@ def cmd_meter_sweep(layout, port, meters: list[MeterSpec], sweep: tuple[float, .
     if len(steps) == 2:
         with _input(f"meters {steps} do not form a chain"):
             seq_exact = sequential_weak_value(layout, port, ProjectorChain.of(*steps)).value
+        if min(sweep) * min(sweep) < MIN_COUPLING_PRODUCT:  # every meter takes each g
+            raise CliError("sequential estimate needs both couplings nonzero")
         estimators.append(("seq", seq_exact,
                            lambda mixture: estimate_sequential_weak_value(mixture, 0, 1)))
     rows = []
@@ -353,7 +362,7 @@ def cmd_montecarlo(layout, port, meters: list[MeterSpec], n: int, seed: int):
         plans = readout_plans(n, seed)
     if len(meters) != 2:
         raise CliError("montecarlo needs exactly two --meter specs")
-    if meters[0].strength * meters[1].strength == 0.0:  # estimate_from_samples' rule
+    if abs(meters[0].strength * meters[1].strength) < MIN_COUPLING_PRODUCT:  # the estimator's rule
         raise CliError("sequential estimate needs both couplings nonzero")
     columns = ("kind", "quantity", "estimate", "stderr", "exact", "z", "pass")
     mixture = postselect(run_coupled(build_experiment(layout, meters)), port)

@@ -36,6 +36,7 @@ __all__ = [
     "MAX_REGISTER_ENTRIES",
     "MAX_SIGMA",
     "MAX_STRENGTH",
+    "MIN_COUPLING_PRODUCT",
     "MIN_SIGMA",
     "MeterAttachment",
     "PointerMixture",
@@ -59,6 +60,7 @@ __all__ = [
     "run_coupled",
     "zeta_corr",
     "zeta_corr_direct",
+    "zeta_from_correlators",
 ]
 
 ZERO_PROBABILITY_TOL = 1e-300
@@ -86,9 +88,19 @@ MAX_STRENGTH = 1e50
 """Bounds on a pointer width and a coupling strength: inside them sigma**4,
 (g/sigma)**2 and every matrix element stay within the float range."""
 
+MIN_COUPLING_PRODUCT = float(np.finfo(float).smallest_normal)
+"""Least coupling product g_i g_j an estimate divides by; a smaller one is subnormal or 0."""
+
 
 QUADRATURE_PAIRS = (("x", "x"), ("p", "p"), ("x", "p"), ("p", "x"))
 """Quadrature pairs (first meter, second meter) of a two-meter readout, in order."""
+
+
+def zeta_from_correlators(xx: float, pp: float, xp: float, px: float,
+                          sigma_i: float, sigma_j: float) -> complex:
+    """``<zeta_i zeta_j>`` from the ``QUADRATURE_PAIRS`` correlators (meter i first) and widths."""
+    si2, sj2 = sigma_i * sigma_i, sigma_j * sigma_j
+    return complex(xx - 4.0 * si2 * sj2 * pp, 2.0 * sj2 * xp + 2.0 * si2 * px)
 
 
 # ----------------------------------------------------------------------
@@ -417,13 +429,8 @@ def zeta_corr(mixture: PointerMixture, i: int, j: int) -> complex:
     """
     if i == j:
         raise ValueError("the readout correlator needs two distinct meters")
-    si, sj = mixture.meter(i).sigma, mixture.meter(j).sigma
     xx, pp, xp, px = (pointer_corr(mixture, (i, qa), (j, qb)) for qa, qb in QUADRATURE_PAIRS)
-    si2, sj2 = si * si, sj * sj
-    return complex(
-        xx - 4.0 * si2 * sj2 * pp,
-        2.0 * sj2 * xp + 2.0 * si2 * px,
-    )
+    return zeta_from_correlators(xx, pp, xp, px, mixture.meter(i).sigma, mixture.meter(j).sigma)
 
 
 def zeta_corr_direct(mixture: PointerMixture, i: int, j: int) -> complex:
@@ -465,11 +472,10 @@ def estimate_sequential_weak_value(
     (ordered by their slices) with an error of second order in the
     coupling strengths.
     """
-    gi = mixture.meter(i).strength
-    gj = mixture.meter(j).strength
-    if gi == 0.0 or gj == 0.0:
+    g = mixture.meter(i).strength * mixture.meter(j).strength
+    if g < MIN_COUPLING_PRODUCT:
         raise ValueError("cannot estimate a weak value from a zero-strength meter")
-    return zeta_corr(mixture, i, j) / (gi * gj)
+    return zeta_corr(mixture, i, j) / g
 
 
 def arm_probability(experiment: Experiment, arm: str, slice_index: int) -> float:

@@ -146,8 +146,8 @@ def _check_spec(experiment: Experiment, spec: GridSpec):
             )
 
 
-def _evolve(experiment: Experiment, spec: GridSpec, to_slice: int,
-            marginals: dict[tuple[int, str], float] | None = None) -> np.ndarray:
+def _evolve(experiment: Experiment, spec: GridSpec, to_slice: int):
+    """State at ``to_slice`` and the arm marginals, keyed (slice, arm), of every slice to it."""
     layout = experiment.layout
     meters = experiment.meters
     _check_spec(experiment, spec)
@@ -158,6 +158,7 @@ def _evolve(experiment: Experiment, spec: GridSpec, to_slice: int,
     columns = buf.reshape(len(buf), -1)
     state = buf[:len(layout.slices[0])]
     state[layout.arm_index(0, layout.source)] = functools.reduce(np.multiply.outer, pointers, 1.0)
+    marginals: dict[tuple[int, str], float] = {}
 
     def couple(at_slice: int):
         for j, meter in enumerate(meters):
@@ -167,8 +168,6 @@ def _evolve(experiment: Experiment, spec: GridSpec, to_slice: int,
             state[idx] = _displace(state[idx], j, meter.strength, spec)
 
     def record(at_slice: int):
-        if marginals is None:
-            return
         weights = spec.spacing ** len(meters)
         for i, arm in enumerate(layout.slices[at_slice]):
             marginals[(at_slice, arm)] = float(np.vdot(state[i], state[i]).real) * weights
@@ -182,7 +181,7 @@ def _evolve(experiment: Experiment, spec: GridSpec, to_slice: int,
         state = buf[:u.shape[0]]
         couple(k + 1)
         record(k + 1)
-    return state
+    return state, marginals
 
 
 def grid_run(experiment: Experiment, spec: GridSpec | None = None,
@@ -212,17 +211,14 @@ def grid_run(experiment: Experiment, spec: GridSpec | None = None,
     if to_slice is None:
         to_slice = layout.final_slice
     layout.arms_at(to_slice)
-    state = _evolve(experiment, spec, to_slice)
-    return GridState(to_slice, experiment, spec, state)
+    return GridState(to_slice, experiment, spec, _evolve(experiment, spec, to_slice)[0])
 
 
 def grid_arm_probability(experiment: Experiment, arm: str, slice_index: int,
                          spec: GridSpec | None = None) -> float:
     """Grid-route counterpart of :func:`tsvfsim.meter.arm_probability`."""
-    state = grid_run(experiment, spec, to_slice=slice_index)
-    layout = experiment.layout
-    row = state.array[layout.arm_index(slice_index, arm)]
-    return float(np.vdot(row, row).real) * state.spec.spacing ** len(experiment.meters)
+    experiment.layout.arm_index(slice_index, arm)
+    return _evolve(experiment, spec or default_grid(experiment), slice_index)[1][(slice_index, arm)]
 
 
 def grid_moments(state: GridState, port: str) -> dict[str, float]:
@@ -390,8 +386,7 @@ def experiment_reports(experiment: Experiment, port: str,
             analytic[f"zeta.{mi}_{mj}.re"] = z.real
             analytic[f"zeta.{mi}_{mj}.im"] = z.imag
 
-    marginals: dict[tuple[int, str], float] = {}
-    state_array = _evolve(experiment, spec, layout.final_slice, marginals)
+    state_array, marginals = _evolve(experiment, spec, layout.final_slice)
     final = GridState(layout.final_slice, experiment, spec, state_array)
     grid = _probabilities(layout, marginals)
     grid.update(grid_moments(final, port))

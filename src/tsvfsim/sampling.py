@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .meter import QUADRATURE_PAIRS, MeterAttachment, PointerMixture
+from .meter import (MIN_COUPLING_PRODUCT, QUADRATURE_PAIRS, MeterAttachment, PointerMixture,
+                    zeta_from_correlators)
 
 __all__ = [
     "BLOCK_SIZE",
@@ -352,16 +353,14 @@ def estimate_from_samples(batches: list[SampleBatch]) -> SampleEstimates:
 
     s0, s1 = meters[0].sigma ** 2, meters[1].sigma ** 2
     xx, pp, xp, px = (pairs[c] for c in QUADRATURE_PAIRS)
-    zeta = complex(
-        xx.value - 4.0 * s0 * s1 * pp.value,
-        2.0 * s1 * xp.value + 2.0 * s0 * px.value,
-    )
+    zeta = zeta_from_correlators(xx.value, pp.value, xp.value, px.value,
+                                 meters[0].sigma, meters[1].sigma)
     zeta_se = (
         math.hypot(xx.stderr, 4.0 * s0 * s1 * pp.stderr),
         math.hypot(2.0 * s1 * xp.stderr, 2.0 * s0 * px.stderr),
     )
     g = meters[0].strength * meters[1].strength
-    if g == 0.0:
+    if g < MIN_COUPLING_PRODUCT:
         return SampleEstimates(singles, pairs, zeta, zeta_se, degenerate=degenerate)
     return SampleEstimates(
         singles, pairs, zeta, zeta_se,
@@ -396,7 +395,8 @@ def required_samples(
     """
     if g1 <= 0 or g2 <= 0 or sigma <= 0 or target_rel_err <= 0:
         raise ValueError("strengths, width and target must be positive")
-    n = model.constant * sigma ** 4 / (g1 ** 2 * g2 ** 2 * target_rel_err ** 2)
+    divisor = g1 ** 2 * g2 ** 2 * target_rel_err ** 2
+    n = model.constant * sigma ** 4 / divisor if divisor else math.inf
     if not math.isfinite(n):
         raise ValueError("cost model diverges for these parameters")
     return max(MIN_SAMPLES, math.ceil(n))
@@ -414,6 +414,8 @@ def calibrate_cost_model(
     if len(mixture.meters) != 2:
         raise ValueError("cost calibration needs a two-meter mixture")
     g1, g2 = (m.strength for m in mixture.meters)
+    if g1 * g2 < MIN_COUPLING_PRODUCT:
+        raise ValueError(f"cost calibration needs g1 * g2 >= {MIN_COUPLING_PRODUCT:g}")
     sigma = mixture.meters[0].sigma
     batches = [sample_readings(mixture, plan) for plan in readout_plans(n, seed)]
     est = estimate_from_samples(batches)

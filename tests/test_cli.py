@@ -209,8 +209,9 @@ def test_montecarlo_same_seed_identical_bytes(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("meters", [("B@2:g=0", "E@3"), ("B@2:g=1e-200", "E@3:g=1e-200")],
-                         ids=["zero", "product_underflows"])
+@pytest.mark.parametrize("meters", [("B@2:g=0", "E@3"), ("B@2:g=1e-200", "E@3:g=1e-200"),
+                                    ("B@2:g=1e-160", "E@3:g=1e-160")],
+                         ids=["zero", "product_underflows", "product_subnormal"])
 def test_montecarlo_zero_coupling_exits_2_before_sampling(meters, monkeypatch, capsys):
     def no_sampling(*args):
         raise AssertionError("a reading was drawn")
@@ -221,6 +222,14 @@ def test_montecarlo_zero_coupling_exits_2_before_sampling(meters, monkeypatch, c
     assert code == 2
     assert out == ""
     assert err == "error: sequential estimate needs both couplings nonzero\n"
+
+
+def test_montecarlo_runs_at_the_coupling_bound(capsys):
+    # 1.5e-154 squared is 2.25e-308, just above the smallest normal float
+    code, out, err = run_cli("montecarlo", "--meter", "B@2:g=1.5e-154", "--meter",
+                             "E@3:g=1.5e-154", "--n", "1000", capsys=capsys)
+    assert code == 0 and err == ""
+    assert "seq.re" in out
 
 
 def test_montecarlo_needs_two_meters(capsys):
@@ -527,6 +536,26 @@ def test_ladder_leaving_the_float_range_exits_2(argv, capsys):
     assert err == f"error: sweep spec {argv[2]!r} leaves the float range at its last point\n"
 
 
+@pytest.mark.parametrize("spec", ["0.4x0.5x6", "0.05x1.5x20", "1e-300x10x300", "3x0.7x1000"])
+def test_ladder_in_the_power_range_keeps_its_points(spec):
+    start, factor, count = (float(v) for v in spec.split("x"))
+    assert parse_sweep_spec(spec) == tuple(start * factor ** k for k in range(int(count)))
+
+
+@pytest.mark.parametrize("spec,last", [("1e-300x1e10x35", 1e40), ("1e300x0.1x500", 1e-199)])
+def test_ladder_past_the_power_range_keeps_its_points(spec, last):
+    points = parse_sweep_spec(spec)
+    assert len(points) == int(spec.split("x")[2])
+    assert points[-1] == pytest.approx(last, rel=1e-12)
+
+
+def test_ladder_past_the_power_range_runs(capsys):
+    code, out, err = run_cli("disturbance", "--sweep", "1e-300x1e10x35", capsys=capsys)
+    assert code == 0 and err == ""
+    rows = rows_of(out)
+    assert len(rows) == 36 and all(r["pass"] == "true" for r in rows)
+
+
 @pytest.mark.parametrize("argv,fragment", [
     (["oracle", "--grid-points", "9"], "discrete norm"),
     (["oracle", "--grid-half-width", "1"], "half_width 1.0 < 6.6"),
@@ -568,9 +597,15 @@ def test_grid_too_large_exits_2_at_once(capsys):
      "'{tmp}/missing.ini'"),
     (["weak-values", "--network", "{tmp}"],
      "cannot read network '{tmp}': [Errno 21] Is a directory: '{tmp}'"),
+    (["weak-values", "--postselect", "Q"], "unknown port 'Q' (this network has: D1, D2, D3)"),
+    (["meter-sweep", "--sweep", "1e-300,1e-299,1e-298,1e-297"],
+     "sequential estimate needs both couplings nonzero"),
+    (["meter-sweep", "--sweep", "1e-160,1e-159,1e-158,1e-157"],
+     "sequential estimate needs both couplings nonzero"),
 ], ids=["meter_param_without_value", "unknown_network", "chain_out_of_order",
         "meters_out_of_order", "first_bad_meter_first", "two_disturbance_meters",
-        "probe_chain", "probe_without_slice", "missing_config", "network_directory"])
+        "probe_chain", "probe_without_slice", "missing_config", "network_directory",
+        "unknown_port", "sweep_product_underflows", "sweep_product_subnormal"])
 def test_bad_input_exits_2_with_its_message(argv, message, tmp_path, capsys):
     code, out, err = run_cli(*[a.format(tmp=tmp_path) for a in argv], capsys=capsys)
     assert code == 2

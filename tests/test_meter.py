@@ -6,6 +6,7 @@ exact pointer means) were derived by hand and are frozen here.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scipy.integrate import quad
 from tsvfsim.meter import (
     MAX_SIGMA,
     MAX_STRENGTH,
+    MIN_COUPLING_PRODUCT,
     MIN_SIGMA,
     Experiment,
     GaussianPointer,
@@ -172,6 +174,19 @@ def test_two_meter_moments_reject_bad_input(preset, call, message):
     with pytest.raises(ValueError) as err:
         call(postselect(run_coupled(exp), "D2"))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("g", [1e-200, 1e-160, 1.5e-154])
+def test_sequential_estimate_needs_a_normal_coupling_product(preset, g):
+    assert MIN_COUPLING_PRODUCT == sys.float_info.min
+    exp = attach_meter(attach_meter(new_experiment(preset), "B", T1, g, 1.0), "E", T2, g, 1.0)
+    mix = postselect(run_coupled(exp), "D2")
+    if g * g >= MIN_COUPLING_PRODUCT:  # 2.25e-308 still has its digits
+        assert math.isfinite(abs(estimate_sequential_weak_value(mix, 0, 1)))
+        return
+    with pytest.raises(ValueError) as err:
+        estimate_sequential_weak_value(mix, 0, 1)
+    assert str(err.value) == "cannot estimate a weak value from a zero-strength meter"
 
 
 def test_attach_meter_assigns_sequential_ids(preset):

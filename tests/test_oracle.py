@@ -7,6 +7,7 @@ every probability and moment is the library's strongest self-check.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,29 @@ def test_grid_arm_probabilities_across_slices(preset):
             assert abs(
                 grid_arm_probability(exp, arm, k) - arm_probability(exp, arm, k)
             ) < 1e-10, (arm, k)
+
+
+def test_grid_arm_probability_is_the_walks_marginal(preset):
+    exp = attach_meter(new_experiment(preset), "B", T1, 0.3, 1.0)
+    exp = attach_meter(exp, "E", T2, 0.3, 1.0)
+    spec = GridSpec(default_grid(exp).half_width, 257)
+    _, grid = experiment_reports(exp, "D2", spec)
+    for k in range(preset.n_slices):
+        for arm in preset.slices[k]:
+            assert grid_arm_probability(exp, arm, k, spec) == grid.values[f"P[{arm}@{k}]"]
+
+
+def test_unknown_arm_raises_before_the_grid_is_built(preset):
+    exp = attach_meter(new_experiment(preset), "B", T1, 0.3, 1.0)
+    exp = attach_meter(exp, "E", T2, 0.3, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="'Z'"):
+            grid_arm_probability(exp, "Z", T1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_grid_norm_is_one(preset):

@@ -25,10 +25,12 @@ from tsvfsim.meter import (
     pointer_mean,
     postselect,
     run_coupled,
+    zeta_corr,
+    zeta_from_correlators,
 )
 from tsvfsim import sampling
 from tsvfsim.network import nested_mzi_preset, parse_network, random_layout
-from tsvfsim.tsvf import forward_state
+from tsvfsim.tsvf import forward_state, postselection_amplitude
 from tsvfsim.sampling import (
     BLOCK_SIZE,
     CANDIDATE_BUDGET,
@@ -222,6 +224,46 @@ def test_sequential_estimate_needs_nonzero_couplings():
     est = estimate_from_samples(batches)
     assert est.zeta is not None
     assert est.sequential is None
+
+
+def random_two_meter_mixture():
+    layout = random_layout(3)
+    exp = attach_meter(new_experiment(layout), layout.slices[1][0], 1, 0.4, 0.7)
+    exp = attach_meter(exp, layout.slices[2][1], 2, 0.25, 1.3)
+    port = max(layout.ports, key=lambda p: abs(postselection_amplitude(layout, p)))
+    return postselect(run_coupled(exp), port)
+
+
+@pytest.mark.parametrize("make", [two_meter_mixture, random_two_meter_mixture],
+                         ids=["preset", "random_unequal_sigma"])
+def test_one_zeta_formula_for_exact_and_sampled_correlators(make):
+    mix = make()
+    si, sj = (m.sigma for m in mix.meters)
+    exact = [pointer_corr(mix, (0, qa), (1, qb)) for qa, qb in QUADRATURE_PAIRS]
+    assert zeta_from_correlators(*exact, si, sj) == zeta_corr(mix, 0, 1)
+    est = estimate_from_samples([sample_readings(mix, plan) for plan in readout_plans(400, 5)])
+    sampled = [est.pair_moments[c].value for c in QUADRATURE_PAIRS]
+    assert zeta_from_correlators(*sampled, si, sj) == est.zeta
+
+
+def test_subnormal_coupling_product_gives_no_sequential_estimate():
+    mix = two_meter_mixture(1e-160)
+    est = estimate_from_samples([sample_readings(mix, plan) for plan in readout_plans(300, 3)])
+    assert est.zeta is not None
+    assert est.sequential is None and est.sequential_stderr is None
+
+
+@pytest.mark.parametrize("g", [0.0, 1e-160])
+def test_calibration_needs_a_normal_coupling_product(g):
+    with pytest.raises(ValueError, match="cost calibration needs g1 \\* g2 >= 2.22507e-308"):
+        calibrate_cost_model(two_meter_mixture(g), 0.5 + 0j, n=1000)
+
+
+@pytest.mark.parametrize("g,constant", [(1e-200, 1.0), (1e-100, 1.0), (1e-5, 1e300)],
+                         ids=["product_underflows", "divisor_underflows", "overflows"])
+def test_required_samples_reports_divergence(g, constant):
+    with pytest.raises(ValueError, match="cost model diverges for these parameters"):
+        required_samples(g, g, 1.0, 0.1, CostModel(constant))
 
 
 def test_required_samples_scaling_law():
