@@ -456,7 +456,7 @@ def estimate_weak_value(mixture: PointerMixture, meter_id: int) -> complex:
     goes to zero, with an error of second order in the strength.
     """
     meter = mixture.meter(meter_id)
-    if meter.strength == 0.0:
+    if meter.strength < MIN_COUPLING_PRODUCT:
         raise ValueError("cannot estimate a weak value from a zero-strength meter")
     x = pointer_mean(mixture, meter_id, "x")
     p = pointer_mean(mixture, meter_id, "p")

@@ -2,11 +2,12 @@
 
 Everything the closed-form pointer algebra produces (probabilities, means,
 correlators) is recomputed here the slow honest way: each pointer lives on
-a uniform position grid, couplings displace wavefunctions (exact index
-shift when the strength is a whole number of grid steps, spectral shift
-otherwise), and every moment is a mean over a density: the position
-density, or the density of the wavefunction Fourier-transformed along the
-meter axes whose momentum it needs (discrete Parseval).  Agreement between
+a uniform position grid, and the walk keeps the wavefunction's discrete
+Fourier transform along every meter axis, where a coupling exp(-i g p) is
+one phase per wavenumber and a stage still acts on the arm axis alone.
+Every moment is a mean over a density (discrete Parseval): the momentum
+density, the density transformed back to position along every axis but
+one, or the position density.  Agreement between
 the two routes within tight tolerances is the main correctness check of
 the analytic path.  Only the pointer half is independent: the grid
 evolution applies the same stage matrices (``network.stage_unitary``) as
@@ -48,6 +49,8 @@ __all__ = [
 NORM_TOL = 1e-10
 MAX_GRID_ENTRIES = 1 << 24
 """Largest grid, ``arms * points**meters`` complex entries (256 MiB), checked before allocation."""
+_STAGE_COLUMNS = 1 << 13
+"""Grid columns per in-place stage product: 128 KiB of each arm row, which stays in cache."""
 
 
 class GridTooSmall(ValueError):
@@ -115,21 +118,9 @@ def _initial_pointer(sigma: float, spec: GridSpec) -> np.ndarray:
     return phi.astype(complex)
 
 
-def _displace(arr: np.ndarray, axis: int, g: float, spec: GridSpec) -> np.ndarray:
-    """Apply exp(-i g p), i.e. f(x) -> f(x - g), along one grid axis, for a
-    positive shift g (zero strengths are never coupled)."""
-    steps = g / spec.spacing
-    if abs(steps - round(steps)) < 1e-9:
-        k = int(round(steps))
-        out = np.zeros_like(arr)
-        np.moveaxis(out, axis, 0)[k:] = np.moveaxis(arr, axis, 0)[:arr.shape[axis] - k]
-        return out
-    freq = 2.0 * math.pi * np.fft.fftfreq(arr.shape[axis], d=spec.spacing)
-    shape = [1] * arr.ndim
-    shape[axis] = arr.shape[axis]
-    spectrum = np.fft.fft(arr, axis=axis)
-    spectrum *= np.exp(-1j * freq * g).reshape(shape)
-    return np.fft.ifft(spectrum, axis=axis)
+def _wavenumbers(spec: GridSpec) -> np.ndarray:
+    """The momentum of each DFT bin, in ``np.fft.fftfreq`` order."""
+    return 2.0 * math.pi * np.fft.fftfreq(spec.points, d=spec.spacing)
 
 
 def _check_spec(experiment: Experiment, spec: GridSpec):
@@ -147,40 +138,46 @@ def _check_spec(experiment: Experiment, spec: GridSpec):
 
 
 def _evolve(experiment: Experiment, spec: GridSpec, to_slice: int):
-    """State at ``to_slice`` and the arm marginals, keyed (slice, arm), of every slice to it."""
+    """State at ``to_slice``, Fourier-transformed along every meter axis, and
+    the arm marginals, keyed (slice, arm), of every slice to it."""
     layout = experiment.layout
     meters = experiment.meters
     _check_spec(experiment, spec)
-    pointers = [_initial_pointer(m.sigma, spec) for m in meters]
+    spectra = [np.fft.fft(_initial_pointer(m.sigma, spec)) for m in meters]
     # one buffer for the largest slice; each stage acts on the arm axis alone,
-    # so it runs in place over chunks of grid columns
+    # so it runs in place over chunks of grid columns small enough to stay in cache
     buf = np.zeros((max(map(len, layout.slices)),) + (spec.points,) * len(meters), dtype=complex)
     columns = buf.reshape(len(buf), -1)
     state = buf[:len(layout.slices[0])]
-    state[layout.arm_index(0, layout.source)] = functools.reduce(np.multiply.outer, pointers, 1.0)
+    state[layout.arm_index(0, layout.source)] = functools.reduce(np.multiply.outer, spectra, 1.0)
+    k = _wavenumbers(spec)
     marginals: dict[tuple[int, str], float] = {}
 
     def couple(at_slice: int):
+        # exp(-i g p) shifts f(x) to f(x - g): a phase per wavenumber along the meter's axis
         for j, meter in enumerate(meters):
             if meter.slice_index != at_slice or meter.strength == 0.0:
                 continue
-            idx = layout.arm_index(at_slice, meter.arm)
-            state[idx] = _displace(state[idx], j, meter.strength, spec)
+            shape = [1] * len(meters)
+            shape[j] = spec.points
+            phase = np.exp(-1j * k * meter.strength).reshape(shape)
+            state[layout.arm_index(at_slice, meter.arm)] *= phase
 
     def record(at_slice: int):
-        weights = spec.spacing ** len(meters)
+        weights = (spec.spacing / spec.points) ** len(meters)
         for i, arm in enumerate(layout.slices[at_slice]):
             marginals[(at_slice, arm)] = float(np.vdot(state[i], state[i]).real) * weights
 
     couple(0)
     record(0)
-    for k in range(to_slice):
-        u = stage_unitary(layout, k)
-        for lo in range(0, columns.shape[1], 1 << 16):
-            columns[:u.shape[0], lo:lo + (1 << 16)] = u @ columns[:u.shape[1], lo:lo + (1 << 16)]
+    for s in range(to_slice):
+        u = stage_unitary(layout, s)
+        for lo in range(0, columns.shape[1], _STAGE_COLUMNS):
+            hi = lo + _STAGE_COLUMNS
+            columns[:u.shape[0], lo:hi] = u @ columns[:u.shape[1], lo:hi]
         state = buf[:u.shape[0]]
-        couple(k + 1)
-        record(k + 1)
+        couple(s + 1)
+        record(s + 1)
     return state, marginals
 
 
@@ -211,7 +208,9 @@ def grid_run(experiment: Experiment, spec: GridSpec | None = None,
     if to_slice is None:
         to_slice = layout.final_slice
     layout.arms_at(to_slice)
-    return GridState(to_slice, experiment, spec, _evolve(experiment, spec, to_slice)[0])
+    spectrum = _evolve(experiment, spec, to_slice)[0]
+    return GridState(to_slice, experiment, spec,
+                     np.fft.ifftn(spectrum, axes=range(1, spectrum.ndim)))
 
 
 def grid_arm_probability(experiment: Experiment, arm: str, slice_index: int,
@@ -233,59 +232,65 @@ def grid_moments(state: GridState, port: str) -> dict[str, float]:
     layout = exp.layout
     if state.slice_index != layout.final_slice:
         raise ValueError("moments need the final-slice state")
-    meters = exp.meters
-    m = len(meters)
-    weight = state.spec.spacing ** m
     chi = state.array[layout.arm_index(layout.final_slice, layout.port_arm(port))]
-    prob = float(np.vdot(chi, chi).real) * weight
+    return _moments(exp, state.spec, np.fft.fftn(chi), port)
+
+
+def _moments(experiment: Experiment, spec: GridSpec, spectrum: np.ndarray,
+             port: str) -> dict[str, float]:
+    """:func:`grid_moments` from the port's row Fourier-transformed along every meter axis."""
+    meters = experiment.meters
+    m = len(meters)
+    h, n = spec.spacing, spec.points
+    prob = float(np.vdot(spectrum, spectrum).real) * (h / n) ** m
     values: dict[str, float] = {"probability": prob}
     if m == 0:
         return values
     if prob < ZERO_PROBABILITY_TOL:
         raise ZeroProbability(f"port {port!r} fires with probability {prob:.3e}")
 
-    # Every moment is a mean over a density: |chi|^2 for x, and for p_j the
-    # density of chi Fourier-transformed along axis j, where p_j acts as the
-    # spectral momentum k_j and discrete Parseval adds a factor 1/N per axis.
-    x = state.spec.axis
-    k = 2.0 * math.pi * np.fft.fftfreq(x.size, d=state.spec.spacing)
-    kn = k / x.size
+    # Every moment is a mean over a density whose momentum axes hold the
+    # spectral momentum k; discrete Parseval adds a factor 1/n per such axis.
+    x, k = spec.axis, _wavenumbers(spec)
 
-    def mean(density, *factors):
+    def mean(density, momentum_axes, *factors):
         for axis, vector in sorted(factors, reverse=True):
             density = np.moveaxis(density, axis, -1) @ vector
-        return float(np.sum(density)) * weight / prob
+        return float(np.sum(density)) * h ** m / n ** momentum_axes / prob
 
     def density(arr):
         rho = np.abs(arr)
         return np.multiply(rho, rho, out=rho)
 
     ids = [meter.meter_id for meter in meters]
-    rho = density(chi)
+
+    def same_quadrature(rho, q, vector, momentum_axes):
+        for i, mi in enumerate(ids):
+            values[f"m{mi}.{q}_mean"] = mean(rho, momentum_axes, (i, vector))
+            values[f"m{mi}.{q}2"] = mean(rho, momentum_axes, (i, vector * vector))
+            for j, mj in enumerate(ids[i + 1:], i + 1):
+                values[f"corr.{q}{mi}_{q}{mj}"] = mean(rho, momentum_axes, (i, vector), (j, vector))
+
+    same_quadrature(density(spectrum), "p", k, m)
     for i, mi in enumerate(ids):
-        values[f"m{mi}.x_mean"], values[f"m{mi}.x2"] = mean(rho, (i, x)), mean(rho, (i, x * x))
-        for j, mj in enumerate(ids[i + 1:], i + 1):
-            values[f"corr.x{mi}_x{mj}"] = mean(rho, (i, x), (j, x))
-    del rho
-    for i, mi in enumerate(ids):
-        spectrum = np.fft.fft(chi, axis=i)
-        for j, mj in enumerate(ids[i + 1:], i + 1):
-            rho_pp = density(np.fft.fft(spectrum, axis=j))
-            values[f"corr.p{mi}_p{mj}"] = mean(rho_pp, (i, kn), (j, kn))
-        rho_p = density(spectrum)
-        del spectrum
-        values[f"m{mi}.p_mean"] = mean(rho_p, (i, kn))
-        values[f"m{mi}.p2"] = mean(rho_p, (i, k * kn))
+        # momentum along axis i, position along every other
+        row = np.fft.ifftn(spectrum, axes=[a for a in range(m) if a != i])
+        if i == 0:  # and back along axis 0 too: position along every axis
+            same_quadrature(density(np.fft.ifft(row, axis=0)), "x", x, 0)
+        rho = density(row)
+        del row
         for j, mj in enumerate(ids):
             if j != i:
                 name = f"corr.p{mi}_x{mj}" if i < j else f"corr.x{mj}_p{mi}"
-                values[name] = mean(rho_p, (i, kn), (j, x))
-            if j < i:  # every correlator of the pair (j, i) is known now
-                xx, pp = values[f"corr.x{mj}_x{mi}"], values[f"corr.p{mj}_p{mi}"]
-                xp, px = values[f"corr.x{mj}_p{mi}"], values[f"corr.p{mj}_x{mi}"]
-                sj2, si2 = meters[j].sigma ** 2, meters[i].sigma ** 2
-                values[f"zeta.{mj}_{mi}.re"] = xx - 4 * sj2 * si2 * pp
-                values[f"zeta.{mj}_{mi}.im"] = 2 * si2 * xp + 2 * sj2 * px
+                values[name] = mean(rho, 1, (i, k), (j, x))
+        del rho
+    for i, mi in enumerate(ids):
+        for j, mj in enumerate(ids[i + 1:], i + 1):
+            xx, pp = values[f"corr.x{mi}_x{mj}"], values[f"corr.p{mi}_p{mj}"]
+            xp, px = values[f"corr.x{mi}_p{mj}"], values[f"corr.p{mi}_x{mj}"]
+            si2, sj2 = meters[i].sigma ** 2, meters[j].sigma ** 2
+            values[f"zeta.{mi}_{mj}.re"] = xx - 4 * si2 * sj2 * pp
+            values[f"zeta.{mi}_{mj}.im"] = 2 * sj2 * xp + 2 * si2 * px
     return values
 
 
@@ -386,10 +391,10 @@ def experiment_reports(experiment: Experiment, port: str,
             analytic[f"zeta.{mi}_{mj}.re"] = z.real
             analytic[f"zeta.{mi}_{mj}.im"] = z.imag
 
-    state_array, marginals = _evolve(experiment, spec, layout.final_slice)
-    final = GridState(layout.final_slice, experiment, spec, state_array)
+    spectrum, marginals = _evolve(experiment, spec, layout.final_slice)
     grid = _probabilities(layout, marginals)
-    grid.update(grid_moments(final, port))
+    row = spectrum[layout.arm_index(layout.final_slice, layout.port_arm(port))]
+    grid.update(_moments(experiment, spec, row, port))
     grid.pop("probability", None)
 
     return (

@@ -4,8 +4,10 @@ Readings are drawn from the exact joint density of the chosen quadratures
 (one per meter, ``x`` or ``p``), interference cross-terms included, by
 rejection sampling under a Gaussian-mixture envelope over pairs of the T
 mixture terms that keeps the signs of terms sharing a momentum phase; a
-chunk of n candidates costs one (n x m)(m x T) product and one ``exp`` for
-m meters, and one (n x T)(T x k) product for the envelope's k columns.
+chunk of n candidates costs one (n x m)(m x T) product and one real ``exp``
+over n x T position exponents, one complex ``exp`` per candidate and p
+meter, a product per group of terms sharing p shifts, and one (n x T)(T x k)
+product for the envelope's k columns.
 Randomness comes from the Philox counter-based generator: reading block
 ``b`` of a batch uses a generator keyed by ``(seed, b)``, so any
 partitioning of the same total sample count over workers reproduces the
@@ -131,11 +133,34 @@ class _Density:
         self.bx = (sx / (2.0 * sigmas[is_x] ** 2)).T
         self.cx = (sx ** 2 / (4.0 * sigmas[is_x] ** 2)).sum(axis=1)
         self.qx = 0.25 / sigmas[is_x] ** 2
-        self.sp_t = shifts[:, ~is_x].T
         self.half = np.where(is_x, 0.5 * shifts, 0.0)
         self.dev_row = np.where(is_x, sigmas, 0.5 / sigmas)
 
-        group = np.unique(shifts[:, ~is_x], axis=0, return_inverse=True)[1].ravel()
+        p_rows, group = np.unique(shifts[:, ~is_x], axis=0, return_inverse=True)
+        group = group.ravel()
+        # A term's momentum phase is its group's: the product of exp(-i g_j v_j)
+        # over the p meters the group has fired.  Rows of the phase table: 0
+        # holds 1, 1 + b the factor of the b-th p meter that fires anywhere, then
+        # one row per group that fires two or more, from a group with one meter
+        # fewer and one factor when there is such a group (meters sharing an arm
+        # and a slice always fire together), else from its factors.
+        fired = p_rows != 0.0
+        live = np.flatnonzero(fired.any(axis=0))
+        self.p_live = self.p_cols[live]
+        self.minus_ig = -1j * p_rows[:, live].max(axis=0)[:, None]
+        sets = [tuple(np.flatnonzero(row).tolist()) for row in fired[:, live]]
+        row_of = {(): 0} | {(b,): 1 + b for b in range(live.size)}
+        self.products = []
+        for key in sorted(set(sets) - row_of.keys(), key=lambda key: (len(key), key)):
+            parts = [1 + b for b in key]
+            for i, b in enumerate(key):
+                if key[:i] + key[i + 1:] in row_of:
+                    parts = [row_of[key[:i] + key[i + 1:]], 1 + b]
+                    break
+            row_of[key] = len(row_of)
+            self.products.append((row_of[key], parts))
+        self.table_rows = len(row_of)
+        self.term_rows = np.array([row_of[key] for key in sets])[group]
         cross = group[:, None] != group[None, :]
         pair, work = np.zeros((t, t)), np.empty((t, t))
         for c in (sx / (math.sqrt(8.0) * sigmas[is_x])).T:
@@ -179,11 +204,14 @@ class _Density:
         filled = 0
         candidates = 0
         # every (chunk, T) temporary stays within 2^21 entries
-        most = max(1, (1 << 21) // max(t, m, self.env_cols.shape[1]))
+        most = max(1, (1 << 21) // max(t, m, self.env_cols.shape[1], self.table_rows))
         while filled < count:
             draw = min(most, max(256, int(1.05 * (count - filled) / self.rate)))
             s, s2 = np.divmod(np.searchsorted(self.cdf, rng.random(draw), side="right"), t)
-            v = rng.standard_normal((draw, m)) * self.dev_row + self.half[s] + self.half[s2]
+            v = rng.standard_normal((draw, m))
+            v *= self.dev_row
+            v += self.half[s]
+            v += self.half[s2]
             u = rng.random(draw)
             f, env = self.weights(v)
             keep = v[u * env < f]
@@ -207,9 +235,12 @@ class _Density:
         common to every term.  The x exponents expand to ``v_x B - c - q(v)``
         (``B = S_x^T / (2 sigma^2)``, ``c = sum_j S_x^2 / (4 sigma^2)``, ``q =
         sum_j v_x^2 / (4 sigma^2)``), so n candidates cost one (n x m)(m x T)
-        product, one ``exp`` and one (n x T)(T x k) product for the envelope's
-        k columns.  Keeping q holds every exponent at or below 0: ``v s / (2
-        sigma^2)`` alone overflows ``exp`` for strong meters.
+        product, one real ``exp`` and one (n x T)(T x k) product for the
+        envelope's k columns.  Keeping q holds every exponent at or below 0:
+        ``v s / (2 sigma^2)`` alone overflows ``exp`` for strong meters.  Each
+        p shift is 0 or ``g_j``, so the momentum phase of a term is its
+        group's product of ``exp(-i g_j v_j)`` over the fired p meters: one
+        complex ``exp`` per candidate and p meter of nonzero strength.
         """
         vx = v[:, self.x_cols]
         mag = vx @ self.bx
@@ -221,10 +252,18 @@ class _Density:
         env = cols @ self.env_signs
         if not self.p_cols.size:
             return cols[:, 0] + cols[:, 1], env
-        w = np.multiply(v[:, self.p_cols] @ self.sp_t, -1j)
-        np.exp(w, out=w)
-        w *= mag
-        return np.abs(w @ self.amps) ** 2, env
+        table = np.empty((self.table_rows, len(v)), dtype=complex)
+        table[0] = 1.0
+        factors = table[1:1 + self.p_live.size]
+        np.multiply(v[:, self.p_live].T, self.minus_ig, out=factors)
+        np.exp(factors, out=factors)
+        for row, parts in self.products:
+            np.multiply(table[parts[0]], table[parts[1]], out=table[row])
+            for part in parts[2:]:
+                table[row] *= table[part]
+        w = table[self.term_rows]
+        w *= mag.T
+        return np.abs(self.amps @ w) ** 2, env
 
 
 def sample_readings(mixture: PointerMixture, plan: ReadoutPlan) -> SampleBatch:
@@ -396,7 +435,10 @@ def required_samples(
     if g1 <= 0 or g2 <= 0 or sigma <= 0 or target_rel_err <= 0:
         raise ValueError("strengths, width and target must be positive")
     divisor = g1 ** 2 * g2 ** 2 * target_rel_err ** 2
-    n = model.constant * sigma ** 4 / divisor if divisor else math.inf
+    try:
+        n = model.constant * sigma ** 4 / divisor if divisor else math.inf
+    except OverflowError:  # sigma ** 4 past the float range
+        n = math.inf
     if not math.isfinite(n):
         raise ValueError("cost model diverges for these parameters")
     return max(MIN_SAMPLES, math.ceil(n))

@@ -224,6 +224,18 @@ def test_montecarlo_zero_coupling_exits_2_before_sampling(meters, monkeypatch, c
     assert err == "error: sequential estimate needs both couplings nonzero\n"
 
 
+def test_meter_sweep_subnormal_coupling_exits_2_before_any_experiment(monkeypatch, capsys):
+    def no_experiment(*args):
+        raise AssertionError("an experiment was built")
+
+    monkeypatch.setattr(cli, "build_experiment", no_experiment)
+    code, out, err = run_cli("meter-sweep", "--meter", "B@2", "--sweep",
+                             "1e-320,1e-319,1e-318,1e-317", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: weak-value estimates need couplings of at least 2.22507e-308\n"
+
+
 def test_montecarlo_runs_at_the_coupling_bound(capsys):
     # 1.5e-154 squared is 2.25e-308, just above the smallest normal float
     code, out, err = run_cli("montecarlo", "--meter", "B@2:g=1.5e-154", "--meter",

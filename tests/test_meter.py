@@ -189,6 +189,17 @@ def test_sequential_estimate_needs_a_normal_coupling_product(preset, g):
     assert str(err.value) == "cannot estimate a weak value from a zero-strength meter"
 
 
+@pytest.mark.parametrize("g", [1e-319, 1e-300])
+def test_single_estimate_needs_a_normal_coupling(preset, g):
+    mix = postselect(run_coupled(attach_meter(new_experiment(preset), "B", T1, g, 1.0)), "D2")
+    if g >= MIN_COUPLING_PRODUCT:
+        assert estimate_weak_value(mix, 0) == pytest.approx(0.5, abs=1e-12)
+        return
+    with pytest.raises(ValueError) as err:
+        estimate_weak_value(mix, 0)
+    assert str(err.value) == "cannot estimate a weak value from a zero-strength meter"
+
+
 def test_attach_meter_assigns_sequential_ids(preset):
     exp = attach_meter(new_experiment(preset), "B", T1, 0.1, 1.0)
     exp = attach_meter(exp, "E", T2, 0.2, 1.0)

@@ -328,3 +328,33 @@ def test_density_moments_match_spectral_derivatives(meters, spec, preset):
     assert len(reference) == 4 * len(meters) + 2 * len(meters) * (len(meters) - 1)
     for name, value in reference.items():
         assert abs(values[name] - value) < 1e-12, name
+
+
+def test_preset_reports_take_three_grid_ffts(monkeypatch, preset):
+    # couplings are phases on the momentum-space walk; only the moments
+    # transform the port's row: back to position along every axis but one,
+    # once per meter, and once more along axis 0 for the position density
+    exp = attach_meter(attach_meter(new_experiment(preset), "B", T1, 0.3, 1.0), "E", T2, 0.3, 1.0)
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        def counted(arr, *args, _fn=getattr(np.fft, name), **kwargs):
+            if np.ndim(arr) >= 2:
+                calls.append(_fn.__name__)
+            return _fn(arr, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    analytic, grid = experiment_reports(exp, "D2")
+    assert len(calls) == 3, calls
+    assert compare(analytic, grid, 1e-7).all_pass
+
+
+def test_reports_read_the_same_moments_as_grid_moments(preset):
+    exp = new_experiment(preset)
+    for arm, k, g, sigma in (("B", T1, 0.3, 1.0), ("C", T1, 0.45, 0.8), ("E", T2, 0.5, 1.2)):
+        exp = attach_meter(exp, arm, k, g, sigma)
+    spec = GridSpec(12.5, 129)
+    _, grid = experiment_reports(exp, "D2", spec)
+    values = grid_moments(grid_run(exp, spec), "D2")
+    assert values.pop("probability") == pytest.approx(grid.values["P(D2)"], abs=1e-12)
+    assert len(values) == 4 * 3 + 6 * 3
+    for name, value in values.items():
+        assert abs(grid.values[name] - value) < 1e-12, name

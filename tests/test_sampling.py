@@ -259,11 +259,14 @@ def test_calibration_needs_a_normal_coupling_product(g):
         calibrate_cost_model(two_meter_mixture(g), 0.5 + 0j, n=1000)
 
 
-@pytest.mark.parametrize("g,constant", [(1e-200, 1.0), (1e-100, 1.0), (1e-5, 1e300)],
-                         ids=["product_underflows", "divisor_underflows", "overflows"])
-def test_required_samples_reports_divergence(g, constant):
+@pytest.mark.parametrize("g,sigma,constant",
+                         [(1e-200, 1.0, 1.0), (1e-100, 1.0, 1.0), (1e-5, 1.0, 1e300),
+                          (0.2, 1e100, 1.0)],
+                         ids=["product_underflows", "divisor_underflows", "overflows",
+                              "width_overflows"])
+def test_required_samples_reports_divergence(g, sigma, constant):
     with pytest.raises(ValueError, match="cost model diverges for these parameters"):
-        required_samples(g, g, 1.0, 0.1, CostModel(constant))
+        required_samples(g, g, sigma, 0.1, CostModel(constant))
 
 
 def test_required_samples_scaling_law():
@@ -564,6 +567,28 @@ def test_kernel_cases_cover_the_edge_cases():
         for mix in mixtures
     )
     assert any(len(mix.amplitudes) >= 4 for mix in mixtures)
+
+
+@pytest.mark.parametrize("readout", ["p", "mixed"])
+@pytest.mark.parametrize("name", ["preset", "random-5"])
+def test_kernel_takes_one_complex_exp_per_p_meter(monkeypatch, name, readout):
+    mix = two_meter_mixture() if name == "preset" else random_mixture(5)
+    m = len(mix.meters)
+    quads = ("p",) * m if readout == "p" else tuple("xp"[(j + 1) % 2] for j in range(m))
+    density = sampling._Density(mix, quads)
+    v = np.random.default_rng(5).standard_normal((2000, m))
+    want = density.weights(v)
+    complex_elements = []
+
+    def counted(x, *args, _exp=np.exp, **kwargs):
+        if np.iscomplexobj(x):
+            complex_elements.append(np.size(x))
+        return _exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    got = density.weights(v)
+    assert 0 < sum(complex_elements) <= quads.count("p") * len(v)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_strong_meters_sample_the_right_means():
