@@ -315,8 +315,6 @@ def cmd_disturbance(layout, port, meter: MeterSpec, probe: tuple[str, int],
 def cmd_meter_sweep(layout, port, meters: list[MeterSpec], sweep: tuple[float, ...]):
     if len(sweep) < 4:
         raise CliError(f"meter-sweep needs at least 4 sweep points, got {len(sweep)}")
-    if not meters:
-        raise CliError("meter-sweep needs at least one --meter")
     if min(sweep) < MIN_COUPLING_PRODUCT:  # the estimator's rule
         raise CliError(f"weak-value estimates need couplings of at least {MIN_COUPLING_PRODUCT:g}")
     build_experiment(layout, meters)  # every meter's reference, strength and width

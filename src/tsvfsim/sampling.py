@@ -139,11 +139,8 @@ class _Density:
         p_rows, group = np.unique(shifts[:, ~is_x], axis=0, return_inverse=True)
         group = group.ravel()
         # A term's momentum phase is its group's: the product of exp(-i g_j v_j)
-        # over the p meters the group has fired.  Rows of the phase table: 0
-        # holds 1, 1 + b the factor of the b-th p meter that fires anywhere, then
-        # one row per group that fires two or more, from a group with one meter
-        # fewer and one factor when there is such a group (meters sharing an arm
-        # and a slice always fire together), else from its factors.
+        # over the p meters it fires.  Phase-table rows: 0 holds 1, 1 + b the
+        # b-th live p meter's factor, then each group firing two or more.
         fired = p_rows != 0.0
         live = np.flatnonzero(fired.any(axis=0))
         self.p_live = self.p_cols[live]
@@ -151,14 +148,9 @@ class _Density:
         sets = [tuple(np.flatnonzero(row).tolist()) for row in fired[:, live]]
         row_of = {(): 0} | {(b,): 1 + b for b in range(live.size)}
         self.products = []
-        for key in sorted(set(sets) - row_of.keys(), key=lambda key: (len(key), key)):
-            parts = [1 + b for b in key]
-            for i, b in enumerate(key):
-                if key[:i] + key[i + 1:] in row_of:
-                    parts = [row_of[key[:i] + key[i + 1:]], 1 + b]
-                    break
+        for key in sorted(set(sets) - row_of.keys()):
             row_of[key] = len(row_of)
-            self.products.append((row_of[key], parts))
+            self.products.append((row_of[key], [1 + b for b in key]))
         self.table_rows = len(row_of)
         self.term_rows = np.array([row_of[key] for key in sets])[group]
         cross = group[:, None] != group[None, :]
@@ -434,7 +426,10 @@ def required_samples(
     """
     if g1 <= 0 or g2 <= 0 or sigma <= 0 or target_rel_err <= 0:
         raise ValueError("strengths, width and target must be positive")
-    divisor = g1 ** 2 * g2 ** 2 * target_rel_err ** 2
+    try:
+        divisor = g1 ** 2 * g2 ** 2 * target_rel_err ** 2
+    except OverflowError:  # the law asks for less than one sample
+        divisor = math.inf
     try:
         n = model.constant * sigma ** 4 / divisor if divisor else math.inf
     except OverflowError:  # sigma ** 4 past the float range

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from tsvfsim import meter
 from tsvfsim.meter import (
     MAX_SIGMA,
     MAX_STRENGTH,
@@ -372,6 +373,15 @@ def test_mixed_quadratures_of_one_meter_rejected(preset):
     mix = postselect(run_coupled(exp), "D2")
     with pytest.raises(ValueError, match="jointly measurable"):
         pointer_corr(mix, (0, "x"), (0, "p"))
+
+
+def test_complex_moment_raises(monkeypatch, preset):
+    # an anti-Hermitian x^2 element makes <x^2> imaginary
+    exp = attach_meter(new_experiment(preset), "B", T1, 0.4, 1.0)
+    mix = postselect(run_coupled(exp), "D2")
+    monkeypatch.setitem(meter._ELEMENTS, "xx", lambda a, b, s: 1j * gaussian_x2_element(a, b, s))
+    with pytest.raises(RuntimeError, match="correlator came out complex"):
+        pointer_corr(mix, (0, "x"), (0, "x"))
 
 
 def test_estimate_requires_nonzero_coupling(preset):

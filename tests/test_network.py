@@ -109,6 +109,7 @@ def test_forward_propagation_frozen_amplitudes(preset):
     assert abs(probs["D2"] - 0.25) < 1e-14
     assert abs(probs["D3"] - 0.5) < 1e-14
     assert abs(sum(probs.values()) - 1.0) < 1e-14
+    assert mid.norm() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_dark_port_cancels_exactly(preset):
@@ -262,6 +263,22 @@ def test_validate_reports_norm_violation_from_tampered_matrix(monkeypatch):
     report = validate_network(_tiny_layout((Stage(0, (bad,)),)))
     assert len(report) == 1
     assert report[0].startswith("stage 0 is not norm-preserving")
+
+
+def test_preset_refuses_a_phase_tampered_splitter(monkeypatch):
+    # a phase on one output keeps every stage unitary, so validation passes,
+    # but the inner interferometer no longer cancels toward E
+    block = ComponentSpec.block
+
+    def tampered(self):
+        out = block(self)
+        if self.kind == "beamsplitter":
+            out[0] *= np.exp(0.3j)
+        return out
+
+    monkeypatch.setattr(ComponentSpec, "block", tampered)
+    with pytest.raises(RuntimeError, match="nested preset mis-tuned"):
+        nested_mzi_preset()
 
 
 def test_validate_checks_each_stage_at_its_position():

@@ -261,9 +261,9 @@ def test_calibration_needs_a_normal_coupling_product(g):
 
 @pytest.mark.parametrize("g,sigma,constant",
                          [(1e-200, 1.0, 1.0), (1e-100, 1.0, 1.0), (1e-5, 1.0, 1e300),
-                          (0.2, 1e100, 1.0)],
+                          (0.2, 1e100, 1.0), (1e200, 1e100, 1.0)],
                          ids=["product_underflows", "divisor_underflows", "overflows",
-                              "width_overflows"])
+                              "width_overflows", "width_and_divisor_overflow"])
 def test_required_samples_reports_divergence(g, sigma, constant):
     with pytest.raises(ValueError, match="cost model diverges for these parameters"):
         required_samples(g, g, sigma, 0.1, CostModel(constant))
@@ -289,6 +289,9 @@ def test_required_samples_scaling_law():
 def test_required_samples_clamps_and_validates():
     model = CostModel(constant=1.0)
     assert required_samples(10.0, 10.0, 1.0, 0.9, model) == MIN_SAMPLES
+    # a divisor past the float range asks for less than one sample
+    assert required_samples(1e200, 0.2, 1.0, 0.1, model) == MIN_SAMPLES
+    assert required_samples(0.2, 0.2, 1.0, 1e200, model) == MIN_SAMPLES
     with pytest.raises(ValueError):
         required_samples(0.0, 0.1, 1.0, 0.1, model)
     with pytest.raises(ValueError):
@@ -567,6 +570,9 @@ def test_kernel_cases_cover_the_edge_cases():
         for mix in mixtures
     )
     assert any(len(mix.amplitudes) >= 4 for mix in mixtures)
+    # read all-p, some term fires three or more p meters: its group's phase
+    # is a product of three or more factors
+    assert any((mix.entries()[0] != 0.0).sum(axis=1).max() >= 3 for mix in mixtures)
 
 
 @pytest.mark.parametrize("readout", ["p", "mixed"])

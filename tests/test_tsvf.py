@@ -10,12 +10,14 @@ import math
 import numpy as np
 import pytest
 
+from tsvfsim import network, tsvf
 from tsvfsim.network import PathState, nested_mzi_preset, parse_network
 from tsvfsim.tsvf import (
     ArmProjector,
     CoState,
     DegeneratePostselection,
     ProjectorChain,
+    TwoStateSweep,
     backward_state,
     forward_state,
     postselection_amplitude,
@@ -133,6 +135,21 @@ def test_contraction_is_slice_invariant(preset):
             b.component(a) * f.amplitude(a) for a in preset.slices[k]
         ))
     assert max(abs(v - values[0]) for v in values) < 1e-14
+
+
+def test_sweep_refuses_a_contraction_that_drifts(monkeypatch, preset):
+    # the forward pass takes the first final_slice stage matrices; the
+    # backward pass gets each one times a phase, so bra . ket turns slice by slice
+    calls = []
+
+    def drifting(layout, k):
+        calls.append(k)
+        u = network.stage_unitary(layout, k)
+        return u if len(calls) <= layout.final_slice else np.exp(0.1j) * u
+
+    monkeypatch.setattr(tsvf, "stage_unitary", drifting)
+    with pytest.raises(RuntimeError, match="two-state contraction drifts across slices"):
+        TwoStateSweep.build(preset, "D2")
 
 
 def test_weak_values_frozen(preset):
