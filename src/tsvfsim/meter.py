@@ -281,23 +281,19 @@ def _evolve(experiment: Experiment, to_slice: int) -> np.ndarray:
                                f"(limit {MAX_REGISTER_ENTRIES})")
     reg = np.zeros((len(layout.slices[0]),) + (2,) * m, dtype=complex)
     reg[(layout.arm_index(0, layout.source),) + (0,) * m] = 1.0
-
-    def couple(at_slice: int):
+    for k in range(to_slice + 1):
+        if k:
+            u = stage_unitary(layout, k - 1)
+            out = np.zeros((u.shape[0],) + reg.shape[1:], dtype=complex)
+            for col, row in zip(*np.nonzero(u.T)):
+                out[row] += u[row, col] * reg[col]
+            reg = out
         for j, meter in enumerate(meters):
-            if meter.slice_index != at_slice or meter.strength == 0.0:
+            if meter.slice_index != k or meter.strength == 0.0:
                 continue
-            axis = np.moveaxis(reg[layout.arm_index(at_slice, meter.arm)], j, 0)
+            axis = np.moveaxis(reg[layout.arm_index(k, meter.arm)], j, 0)
             axis[1] = axis[0]
             axis[0] = 0.0
-
-    couple(0)
-    for k in range(to_slice):
-        u = stage_unitary(layout, k)
-        out = np.zeros((u.shape[0],) + reg.shape[1:], dtype=complex)
-        for col, row in zip(*np.nonzero(u.T)):
-            out[row] += u[row, col] * reg[col]
-        reg = out
-        couple(k + 1)
     return reg
 
 

@@ -105,6 +105,8 @@ class ComponentSpec:
                 raise ValueError(f"{self.kind} needs exactly 1 input and 1 output")
         if self.kind == "phase" and self.inputs != self.outputs:
             raise ValueError("phase plate must act on a single arm (input == output)")
+        if not (math.isfinite(self.theta) and math.isfinite(self.phase)):
+            raise ValueError("theta and phase must be finite")
 
     def block(self) -> np.ndarray:
         """Complex block of shape (len(outputs), len(inputs))."""

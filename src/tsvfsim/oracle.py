@@ -69,8 +69,8 @@ class GridSpec:
     points: int = 1025
 
     def __post_init__(self):
-        if not 0 < self.half_width < math.inf:
-            raise ValueError("half_width must be positive and finite")
+        if not (0 < self.half_width and math.isfinite(2.0 * self.half_width)):
+            raise ValueError("half_width must be positive, with 2 * half_width finite")
         if self.points < 3 or self.points % 2 == 0:
             raise ValueError("points must be an odd number >= 3")
 
@@ -152,32 +152,23 @@ def _evolve(experiment: Experiment, spec: GridSpec, to_slice: int):
     state[layout.arm_index(0, layout.source)] = functools.reduce(np.multiply.outer, spectra, 1.0)
     k = _wavenumbers(spec)
     marginals: dict[tuple[int, str], float] = {}
-
-    def couple(at_slice: int):
+    weights = (spec.spacing / spec.points) ** len(meters)
+    for s in range(to_slice + 1):
+        if s:
+            u = stage_unitary(layout, s - 1)
+            for lo in range(0, columns.shape[1], _STAGE_COLUMNS):
+                hi = lo + _STAGE_COLUMNS
+                columns[:u.shape[0], lo:hi] = u @ columns[:u.shape[1], lo:hi]
+            state = buf[:u.shape[0]]
         # exp(-i g p) shifts f(x) to f(x - g): a phase per wavenumber along the meter's axis
         for j, meter in enumerate(meters):
-            if meter.slice_index != at_slice or meter.strength == 0.0:
+            if meter.slice_index != s or meter.strength == 0.0:
                 continue
             shape = [1] * len(meters)
             shape[j] = spec.points
-            phase = np.exp(-1j * k * meter.strength).reshape(shape)
-            state[layout.arm_index(at_slice, meter.arm)] *= phase
-
-    def record(at_slice: int):
-        weights = (spec.spacing / spec.points) ** len(meters)
-        for i, arm in enumerate(layout.slices[at_slice]):
-            marginals[(at_slice, arm)] = float(np.vdot(state[i], state[i]).real) * weights
-
-    couple(0)
-    record(0)
-    for s in range(to_slice):
-        u = stage_unitary(layout, s)
-        for lo in range(0, columns.shape[1], _STAGE_COLUMNS):
-            hi = lo + _STAGE_COLUMNS
-            columns[:u.shape[0], lo:hi] = u @ columns[:u.shape[1], lo:hi]
-        state = buf[:u.shape[0]]
-        couple(s + 1)
-        record(s + 1)
+            state[layout.arm_index(s, meter.arm)] *= np.exp(-1j * k * meter.strength).reshape(shape)
+        for i, arm in enumerate(layout.slices[s]):
+            marginals[(s, arm)] = float(np.vdot(state[i], state[i]).real) * weights
     return state, marginals
 
 

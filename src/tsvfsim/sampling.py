@@ -4,10 +4,10 @@ Readings are drawn from the exact joint density of the chosen quadratures
 (one per meter, ``x`` or ``p``), interference cross-terms included, by
 rejection sampling under a Gaussian-mixture envelope over pairs of the T
 mixture terms that keeps the signs of terms sharing a momentum phase; a
-chunk of n candidates costs one (n x m)(m x T) product and one real ``exp``
-over n x T position exponents, one complex ``exp`` per candidate and p
-meter, a product per group of terms sharing p shifts, and one (n x T)(T x k)
-product for the envelope's k columns.
+chunk of n candidates costs one (n x 2m)(2m x T) product that sums each
+term's squared position distances and one real ``exp`` over them, one
+complex ``exp`` per candidate and p meter multiplied into the terms that
+fire it, and one (n x T)(T x k) product for the envelope's k columns.
 Randomness comes from the Philox counter-based generator: reading block
 ``b`` of a batch uses a generator keyed by ``(seed, b)``, so any
 partitioning of the same total sample count over workers reproduces the
@@ -130,29 +130,16 @@ class _Density:
         is_x = np.array([q == "x" for q in quadratures], dtype=bool)
         self.x_cols, self.p_cols = np.flatnonzero(is_x), np.flatnonzero(~is_x)
         sx = shifts[:, is_x]
-        self.bx = (sx / (2.0 * sigmas[is_x] ** 2)).T
-        self.cx = (sx ** 2 / (4.0 * sigmas[is_x] ** 2)).sum(axis=1)
-        self.qx = 0.25 / sigmas[is_x] ** 2
         self.half = np.where(is_x, 0.5 * shifts, 0.0)
         self.dev_row = np.where(is_x, sigmas, 0.5 / sigmas)
-
-        p_rows, group = np.unique(shifts[:, ~is_x], axis=0, return_inverse=True)
-        group = group.ravel()
-        # A term's momentum phase is its group's: the product of exp(-i g_j v_j)
-        # over the p meters it fires.  Phase-table rows: 0 holds 1, 1 + b the
-        # b-th live p meter's factor, then each group firing two or more.
-        fired = p_rows != 0.0
-        live = np.flatnonzero(fired.any(axis=0))
-        self.p_live = self.p_cols[live]
-        self.minus_ig = -1j * p_rows[:, live].max(axis=0)[:, None]
-        sets = [tuple(np.flatnonzero(row).tolist()) for row in fired[:, live]]
-        row_of = {(): 0} | {(b,): 1 + b for b in range(live.size)}
-        self.products = []
-        for key in sorted(set(sets) - row_of.keys()):
-            row_of[key] = len(row_of)
-            self.products.append((row_of[key], [1 + b for b in key]))
-        self.table_rows = len(row_of)
-        self.term_rows = np.array([row_of[key] for key in sets])[group]
+        # x meter j's two packet centres, 0 and g_j, and the one each term sits on
+        self.centers = np.stack([np.zeros(sx.shape[1]), sx.max(axis=0)])
+        self.widths = 2.0 * sigmas[is_x]
+        self.pick = -np.stack([sx == 0.0, sx != 0.0], axis=1).reshape(t, -1).T.astype(float)
+        # a term's momentum phase is the product of exp(-i g_j v_j) over the p meters it fires
+        self.phases = [(j, -1j * shifts[:, j].max(), np.flatnonzero(shifts[:, j]))
+                       for j in self.p_cols if shifts[:, j].any()]
+        group = np.unique(shifts[:, ~is_x], axis=0, return_inverse=True)[1].ravel()
         cross = group[:, None] != group[None, :]
         pair, work = np.zeros((t, t)), np.empty((t, t))
         for c in (sx / (math.sqrt(8.0) * sigmas[is_x])).T:
@@ -196,7 +183,7 @@ class _Density:
         filled = 0
         candidates = 0
         # every (chunk, T) temporary stays within 2^21 entries
-        most = max(1, (1 << 21) // max(t, m, self.env_cols.shape[1], self.table_rows))
+        most = max(1, (1 << 21) // max(t, m, self.env_cols.shape[1]))
         while filled < count:
             draw = min(most, max(256, int(1.05 * (count - filled) / self.rate)))
             s, s2 = np.divmod(np.searchsorted(self.cdf, rng.random(draw), side="right"), t)
@@ -224,37 +211,35 @@ class _Density:
         ``w_t`` is the product over meters of the position packet ``exp(-(v -
         s_tj)^2 / (4 sigma_j^2))`` (x readout) or the momentum packet
         ``exp(-sigma_j^2 v^2 - i v s_tj)`` (p readout), without the factors
-        common to every term.  The x exponents expand to ``v_x B - c - q(v)``
-        (``B = S_x^T / (2 sigma^2)``, ``c = sum_j S_x^2 / (4 sigma^2)``, ``q =
-        sum_j v_x^2 / (4 sigma^2)``), so n candidates cost one (n x m)(m x T)
-        product, one real ``exp`` and one (n x T)(T x k) product for the
-        envelope's k columns.  Keeping q holds every exponent at or below 0:
-        ``v s / (2 sigma^2)`` alone overflows ``exp`` for strong meters.  Each
-        p shift is 0 or ``g_j``, so the momentum phase of a term is its
-        group's product of ``exp(-i g_j v_j)`` over the fired p meters: one
-        complex ``exp`` per candidate and p meter of nonzero strength.
+        common to every term.  Each shift s_tj is 0 or ``g_j``, so an x
+        meter has two squared distances, ``(v / 2 sigma)^2`` and ``((v - g) /
+        2 sigma)^2``, and a term's exponent is minus the sum of the ones it
+        sits on: one (n x 2m)(2m x T) product with a choice matrix of 0 and
+        -1, over blocks of 4096 rows of squares, and one real ``exp``.  The
+        sum has no cancellation, so narrow or strong meters keep their
+        digits.  A term's momentum phase is the product of ``exp(-i g_j
+        v_j)`` over the p meters it fires: one complex ``exp`` per candidate
+        and p meter of nonzero strength, multiplied into the rows of the
+        terms that fire it.  The envelope's k columns cost one (n x T)(T x k)
+        product.
         """
-        vx = v[:, self.x_cols]
-        mag = vx @ self.bx
-        mag -= self.cx
-        mag -= np.einsum("ij,ij,j->i", vx, vx, self.qx)[:, None]
+        mag = np.empty((len(v), self.pick.shape[1]))
+        for lo in range(0, len(v), 4096):  # the chunk's squares at once would raise its peak
+            squares = v[lo:lo + 4096, None, self.x_cols] - self.centers
+            squares /= self.widths
+            np.square(squares, out=squares)
+            np.matmul(squares.reshape(len(squares), -1), self.pick, out=mag[lo:lo + 4096])
         np.exp(mag, out=mag)
         cols = mag @ self.env_cols
         cols *= cols
         env = cols @ self.env_signs
         if not self.p_cols.size:
             return cols[:, 0] + cols[:, 1], env
-        table = np.empty((self.table_rows, len(v)), dtype=complex)
-        table[0] = 1.0
-        factors = table[1:1 + self.p_live.size]
-        np.multiply(v[:, self.p_live].T, self.minus_ig, out=factors)
-        np.exp(factors, out=factors)
-        for row, parts in self.products:
-            np.multiply(table[parts[0]], table[parts[1]], out=table[row])
-            for part in parts[2:]:
-                table[row] *= table[part]
-        w = table[self.term_rows]
-        w *= mag.T
+        w = mag.T.astype(complex, order="C")
+        for j, minus_ig, rows in self.phases:
+            factor = np.exp(minus_ig * v[:, j])
+            for row in rows:
+                w[row] *= factor
         return np.abs(self.amps @ w) ** 2, env
 
 

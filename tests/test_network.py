@@ -212,6 +212,15 @@ def test_component_spec_validation():
         ComponentSpec("mirror", ("a", "b"), ("c",))
     with pytest.raises(ValueError, match="input == output"):
         ComponentSpec("phase", ("a",), ("b",))
+    # a non-finite angle or phase would build a layout that weak_value and
+    # postselect turn into nan, or that validate_network fails on
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta and phase must be finite"):
+            ComponentSpec("beamsplitter", ("a",), ("b", "c"), theta=bad)
+        with pytest.raises(ValueError, match="theta and phase must be finite"):
+            ComponentSpec("beamsplitter", ("a", "b"), ("c", "d"), phase=bad)
+        with pytest.raises(ValueError, match="theta and phase must be finite"):
+            phase_plate("a", bad)
 
 
 def _tiny_layout(stages):

@@ -50,7 +50,7 @@ def test_grid_spec_validation():
     assert spec.axis[0] == -8.0 and spec.axis[-1] == 8.0
 
 
-@pytest.mark.parametrize("half_width", [math.inf, math.nan])
+@pytest.mark.parametrize("half_width", [math.inf, math.nan, 1e308])
 def test_grid_spec_rejects_non_finite_half_width(half_width):
     with pytest.raises(ValueError, match="finite"):
         GridSpec(half_width)

@@ -515,11 +515,12 @@ def random_mixture(seed):
     return max(mixtures, key=lambda mix: mix.postselection_probability)
 
 
-def strong_mixture():
-    # g / sigma = 60 on both meters: v s / (2 sigma^2) reaches 1800 at the
-    # (60, 60) term, past what exp can hold without a per-row shift
-    exp = attach_meter(new_experiment(nested_mzi_preset()), "B", T1, 60.0, 1.0)
-    return postselect(run_coupled(attach_meter(exp, "E", T2, 60.0, 1.0)), "D2")
+def strong_mixture(g=60.0, sigma=1.0):
+    # by default g / sigma = 60 on both meters: an exponent expanded into
+    # v s / (2 sigma^2) and the other terms would reach 1800 at the (60, 60)
+    # term, past what exp can hold
+    exp = attach_meter(new_experiment(nested_mzi_preset()), "B", T1, g, sigma)
+    return postselect(run_coupled(attach_meter(exp, "E", T2, g, sigma)), "D2")
 
 
 KERNEL_CASES = [(f"random-{seed}", seed) for seed in range(12)] + [("strong", None)]
@@ -598,12 +599,15 @@ def test_kernel_takes_one_complex_exp_per_p_meter(monkeypatch, name, readout):
 
 
 def test_strong_meters_sample_the_right_means():
-    mix = strong_mixture()
-    batch = sample_readings(mix, ReadoutPlan(("x", "x"), 20_000, 3))
-    est = estimate_from_samples([batch])
-    for (mid, quad), moment in est.singles.items():
-        z = (moment.value - pointer_mean(mix, mid, quad)) / moment.stderr
-        assert abs(z) < 4, (mid, quad, z)
+    # the second case has g / sigma = 3e11: its squared distances g^2 / (4
+    # sigma^2) reach 2e22, so an exponent written as a difference of such
+    # numbers keeps no digit
+    for mix in (strong_mixture(), strong_mixture(0.3, 1e-12)):
+        batch = sample_readings(mix, ReadoutPlan(("x", "x"), 20_000, 3))
+        est = estimate_from_samples([batch])
+        for (mid, quad), moment in est.singles.items():
+            z = (moment.value - pointer_mean(mix, mid, quad)) / moment.stderr
+            assert abs(z) < 4, (mix.meters[0].sigma, mid, quad, z)
 
 
 # The kernel's products go through BLAS; seeded readings must not depend on
