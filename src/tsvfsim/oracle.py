@@ -135,6 +135,12 @@ def _check_spec(experiment: Experiment, spec: GridSpec):
                 f"half_width {spec.half_width} < {need} required for meter "
                 f"{m.meter_id} (6 sigma + 2 g)"
             )
+        # the exponent at the grid's ends, as _initial_pointer computes it
+        if not math.isfinite(spec.half_width * spec.half_width / (4.0 * m.sigma * m.sigma)):
+            raise GridTooSmall(
+                f"half_width {spec.half_width} is too wide for meter {m.meter_id} "
+                f"(sigma={m.sigma}): (half_width / 2 sigma)^2 leaves the float range"
+            )
 
 
 def _evolve(experiment: Experiment, spec: GridSpec, to_slice: int):
@@ -187,8 +193,9 @@ def grid_run(experiment: Experiment, spec: GridSpec | None = None,
     Raises
     ------
     GridTooSmall
-        If the grid cannot represent the initial packet to 1e-10 or is
-        narrower than 6 sigma + 2 g for some meter.
+        If the grid cannot represent the initial packet to 1e-10, is
+        narrower than 6 sigma + 2 g for some meter, or so wide that
+        (half_width / 2 sigma)^2 leaves the float range.
     GridTooLarge
         If the grid would hold more than ``MAX_GRID_ENTRIES`` entries.
     ValueError

@@ -6,8 +6,9 @@ rejection sampling under a Gaussian-mixture envelope over pairs of the T
 mixture terms that keeps the signs of terms sharing a momentum phase; a
 chunk of n candidates costs one (n x 2m)(2m x T) product that sums each
 term's squared position distances and one real ``exp`` over them, one
-complex ``exp`` per candidate and p meter multiplied into the terms that
-fire it, and one (n x T)(T x k) product for the envelope's k columns.
+``cos`` and one ``sin`` per candidate and p meter, written into one complex
+factor multiplied into the terms that fire it, and one (n x T)(T x k)
+product for the envelope's k columns.
 Randomness comes from the Philox counter-based generator: reading block
 ``b`` of a batch uses a generator keyed by ``(seed, b)``, so any
 partitioning of the same total sample count over workers reproduces the
@@ -137,7 +138,7 @@ class _Density:
         self.widths = 2.0 * sigmas[is_x]
         self.pick = -np.stack([sx == 0.0, sx != 0.0], axis=1).reshape(t, -1).T.astype(float)
         # a term's momentum phase is the product of exp(-i g_j v_j) over the p meters it fires
-        self.phases = [(j, -1j * shifts[:, j].max(), np.flatnonzero(shifts[:, j]))
+        self.phases = [(j, -shifts[:, j].max(), np.flatnonzero(shifts[:, j]))
                        for j in self.p_cols if shifts[:, j].any()]
         group = np.unique(shifts[:, ~is_x], axis=0, return_inverse=True)[1].ravel()
         cross = group[:, None] != group[None, :]
@@ -173,11 +174,17 @@ class _Density:
                 cols += [np.where(inside, c, 0.0) for c in (*split.T, abs_amps)]
                 signs += [0.5] * 4 + [-1.0]
         self.env_cols, self.env_signs = np.stack(cols, axis=1), np.array(signs)
+        # one generator for every block, reset to a new Philox's state with the
+        # block's key: a reset costs less than building a generator
+        self.rng = np.random.Generator(np.random.Philox(key=0))
+        self.fresh_state = self.rng.bit_generator.state
 
     def sample_block(self, seed: int, block_index: int, count: int):
         """Draw ``count`` readings from the block's own Philox stream."""
         # a list would turn seeds >= 2**63 into float64 and merge their streams
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, block_index], np.uint64)))
+        self.fresh_state["state"]["key"] = np.array([seed, block_index], np.uint64)
+        rng = self.rng
+        rng.bit_generator.state = self.fresh_state
         t, m = self.half.shape
         out = np.empty((count, m))
         filled = 0
@@ -186,14 +193,16 @@ class _Density:
         most = max(1, (1 << 21) // max(t, m, self.env_cols.shape[1]))
         while filled < count:
             draw = min(most, max(256, int(1.05 * (count - filled) / self.rate)))
-            s, s2 = np.divmod(np.searchsorted(self.cdf, rng.random(draw), side="right"), t)
+            pair = self.pair_index(rng.random(draw))
+            s = pair // t
+            s2 = pair - s * t
             v = rng.standard_normal((draw, m))
             v *= self.dev_row
-            v += self.half[s]
-            v += self.half[s2]
+            v += np.take(self.half, s, axis=0)
+            v += np.take(self.half, s2, axis=0)
             u = rng.random(draw)
             f, env = self.weights(v)
-            keep = v[u * env < f]
+            keep = np.compress(u * env < f, v, axis=0)
             candidates += draw
             take = min(count - filled, keep.shape[0])
             out[filled:filled + take] = keep[:take]
@@ -203,6 +212,17 @@ class _Density:
                     f"block {block_index} used {candidates} candidates for {filled} "
                     f"of {count} readings (predicted acceptance {self.rate:.3e})")
         return out, candidates
+
+    def pair_index(self, r: np.ndarray) -> np.ndarray:
+        """``searchsorted(cdf, r, side="right")``, the envelope pair each uniform
+        ``r`` picks.  Up to 36 entries, counting the entries at or below each
+        draw beats numpy's binary search."""
+        if len(self.cdf) > 36:
+            return np.searchsorted(self.cdf, r, side="right")
+        pair = np.zeros(len(r), np.intp)
+        for c in self.cdf[:-1]:  # the last entry is 1, above every draw
+            pair += r >= c
+        return pair
 
     def weights(self, v: np.ndarray):
         """Density ``|sum_t A_t w_t|^2`` and its envelope at readings ``v`` of
@@ -218,26 +238,37 @@ class _Density:
         -1, over blocks of 4096 rows of squares, and one real ``exp``.  The
         sum has no cancellation, so narrow or strong meters keep their
         digits.  A term's momentum phase is the product of ``exp(-i g_j
-        v_j)`` over the p meters it fires: one complex ``exp`` per candidate
-        and p meter of nonzero strength, multiplied into the rows of the
-        terms that fire it.  The envelope's k columns cost one (n x T)(T x k)
-        product.
+        v_j)`` over the p meters it fires: one ``cos`` and one ``sin`` of
+        ``-g_j v_j`` per candidate and p meter of nonzero strength, written
+        into the real and imaginary parts of one complex factor and
+        multiplied into the rows of the terms that fire it.  The envelope's
+        k columns cost one (n x T)(T x k) product.
         """
         mag = np.empty((len(v), self.pick.shape[1]))
-        for lo in range(0, len(v), 4096):  # the chunk's squares at once would raise its peak
-            squares = v[lo:lo + 4096, None, self.x_cols] - self.centers
-            squares /= self.widths
-            np.square(squares, out=squares)
-            np.matmul(squares.reshape(len(squares), -1), self.pick, out=mag[lo:lo + 4096])
-        np.exp(mag, out=mag)
+        if not self.x_cols.size:  # every exponent is 0
+            mag.fill(1.0)
+        else:
+            for lo in range(0, len(v), 4096):  # the chunk's squares at once would raise its peak
+                vx = v[lo:lo + 4096, None, self.x_cols]
+                # stored centre-, meter-, then row-major, so each pass runs along the
+                # rows; the reshape below hands the product a row-major copy
+                squares = np.empty((2, len(self.x_cols), len(vx))).transpose(2, 0, 1)
+                np.subtract(vx, self.centers, out=squares)
+                squares /= self.widths
+                np.square(squares, out=squares)
+                np.matmul(squares.reshape(len(squares), -1), self.pick, out=mag[lo:lo + 4096])
+            np.exp(mag, out=mag)
         cols = mag @ self.env_cols
         cols *= cols
         env = cols @ self.env_signs
         if not self.p_cols.size:
             return cols[:, 0] + cols[:, 1], env
         w = mag.T.astype(complex, order="C")
-        for j, minus_ig, rows in self.phases:
-            factor = np.exp(minus_ig * v[:, j])
+        factor = np.empty(len(v), complex)
+        for j, minus_g, rows in self.phases:
+            angle = v[:, j] * minus_g
+            np.cos(angle, out=factor.real)
+            np.sin(angle, out=factor.imag)
             for row in rows:
                 w[row] *= factor
         return np.abs(self.amps @ w) ** 2, env
@@ -419,6 +450,14 @@ def required_samples(
         n = model.constant * sigma ** 4 / divisor if divisor else math.inf
     except OverflowError:  # sigma ** 4 past the float range
         n = math.inf
+    if math.isnan(n) and model.constant > 0:  # both sides overflowed: compare logarithms
+        log_n = (math.log(model.constant) + 4.0 * math.log(sigma)
+                 - 2.0 * (math.log(g1) + math.log(g2) + math.log(target_rel_err)))
+        if math.isfinite(log_n):  # an infinite input keeps its error
+            try:
+                n = math.exp(log_n)
+            except OverflowError:
+                n = math.inf
     if not math.isfinite(n):
         raise ValueError("cost model diverges for these parameters")
     return max(MIN_SAMPLES, math.ceil(n))

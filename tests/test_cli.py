@@ -571,7 +571,8 @@ def test_ladder_past_the_power_range_runs(capsys):
 @pytest.mark.parametrize("argv,fragment", [
     (["oracle", "--grid-points", "9"], "discrete norm"),
     (["oracle", "--grid-half-width", "1"], "half_width 1.0 < 6.6"),
-], ids=["coarse", "narrow"])
+    (["oracle", "--grid-half-width", "1e200"], "leaves the float range"),
+], ids=["coarse", "narrow", "wide"])
 def test_grid_too_small_exits_2(argv, fragment, capsys):
     code, out, err = run_cli(*argv, capsys=capsys)
     assert code == 2

@@ -8,6 +8,7 @@ every probability and moment is the library's strongest self-check.
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -165,6 +166,18 @@ def test_too_small_grid_raises(preset):
     exp = attach_meter(new_experiment(preset), "B", T1, 0.3, 1.0)
     with pytest.raises(GridTooSmall):
         grid_run(exp, GridSpec(2.0, 257))
+
+
+@pytest.mark.parametrize("sigma,half_width", [(1.0, 1e200), (1e-50, 1e110)],
+                         ids=["square", "over-4-sigma-squared"])
+def test_too_wide_grid_raises_before_any_overflow(preset, sigma, half_width):
+    # the initial pointer's exponent -(x * x) / (4 sigma^2) would overflow at the
+    # grid's ends: first in the square, then in the division
+    exp = attach_meter(new_experiment(preset), "B", T1, 0.3, sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridTooSmall, match="leaves the float range"):
+            grid_run(exp, GridSpec(half_width, 257))
 
 
 def test_underresolved_pointer_raises(preset):

@@ -292,6 +292,8 @@ def test_required_samples_clamps_and_validates():
     # a divisor past the float range asks for less than one sample
     assert required_samples(1e200, 0.2, 1.0, 0.1, model) == MIN_SAMPLES
     assert required_samples(0.2, 0.2, 1.0, 1e200, model) == MIN_SAMPLES
+    # both sides overflow, inf / inf; the law asks for about 1e-289 samples
+    assert required_samples(1e150, 1e150, 1e77, 0.1, CostModel(10.0)) == MIN_SAMPLES
     with pytest.raises(ValueError):
         required_samples(0.0, 0.1, 1.0, 0.1, model)
     with pytest.raises(ValueError):
@@ -578,23 +580,29 @@ def test_kernel_cases_cover_the_edge_cases():
 
 @pytest.mark.parametrize("readout", ["p", "mixed"])
 @pytest.mark.parametrize("name", ["preset", "random-5"])
-def test_kernel_takes_one_complex_exp_per_p_meter(monkeypatch, name, readout):
+def test_kernel_takes_one_cos_and_sin_per_p_meter(monkeypatch, name, readout):
     mix = two_meter_mixture() if name == "preset" else random_mixture(5)
     m = len(mix.meters)
     quads = ("p",) * m if readout == "p" else tuple("xp"[(j + 1) % 2] for j in range(m))
     density = sampling._Density(mix, quads)
     v = np.random.default_rng(5).standard_normal((2000, m))
     want = density.weights(v)
-    complex_elements = []
+    elements = {"complex exp": [], "cos": [], "sin": []}
 
-    def counted(x, *args, _exp=np.exp, **kwargs):
-        if np.iscomplexobj(x):
-            complex_elements.append(np.size(x))
-        return _exp(x, *args, **kwargs)
+    def counting(label, ufunc, complex_only=False):
+        def counted(x, *args, **kwargs):
+            if not complex_only or np.iscomplexobj(x):
+                elements[label].append(np.size(x))
+            return ufunc(x, *args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(np, "exp", counted)
+    monkeypatch.setattr(np, "exp", counting("complex exp", np.exp, complex_only=True))
+    monkeypatch.setattr(np, "cos", counting("cos", np.cos))
+    monkeypatch.setattr(np, "sin", counting("sin", np.sin))
     got = density.weights(v)
-    assert 0 < sum(complex_elements) <= quads.count("p") * len(v)
+    assert elements["complex exp"] == []
+    for label in ("cos", "sin"):
+        assert 0 < sum(elements[label]) <= quads.count("p") * len(v), label
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
