@@ -313,8 +313,10 @@ def cmd_disturbance(layout, port, meter: MeterSpec, probe: tuple[str, int],
 
 
 def cmd_meter_sweep(layout, port, meters: list[MeterSpec], sweep: tuple[float, ...]):
-    if len(sweep) < 4:
-        raise CliError(f"meter-sweep needs at least 4 sweep points, got {len(sweep)}")
+    distinct = len(set(sweep))  # the slope fit needs 4 different couplings
+    if distinct < 4:
+        repeats = "" if distinct == len(sweep) else f" ({distinct} distinct)"
+        raise CliError(f"meter-sweep needs at least 4 sweep points, got {len(sweep)}{repeats}")
     if min(sweep) < MIN_COUPLING_PRODUCT:  # the estimator's rule
         raise CliError(f"weak-value estimates need couplings of at least {MIN_COUPLING_PRODUCT:g}")
     build_experiment(layout, meters)  # every meter's reference, strength and width
@@ -372,7 +374,8 @@ def cmd_montecarlo(layout, port, meters: list[MeterSpec], n: int, seed: int):
     rows = []
 
     def check(quantity, estimate, stderr, exact):
-        z = (estimate - exact) / stderr if stderr > 0 else math.inf
+        # an error that is not finite (one reading per batch) tests nothing
+        z = (estimate - exact) / stderr if 0 < stderr < math.inf else math.inf
         rows.append({"kind": "value", "quantity": quantity,
                      "estimate": estimate, "stderr": stderr, "exact": exact,
                      "z": z, "pass": abs(z) < Z_LIMIT})

@@ -47,7 +47,6 @@ __all__ = [
     "parse_network",
     "phase_plate",
     "propagate",
-    "random_layout",
     "serialize_network",
     "stage_unitary",
     "validate_network",
@@ -202,9 +201,6 @@ class PathState:
 
     def amplitude(self, arm: str) -> complex:
         return complex(self.amplitudes[_arm_position(self.arms, arm, self.slice_index)])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def beamsplitter(name, inputs, outputs, theta=BALANCED_ANGLE, phase=0.0) -> ComponentSpec:
@@ -426,50 +422,6 @@ def nested_mzi_preset() -> NetworkLayout:
     if abs(at_t2.amplitude("E")) > 1e-15 or abs(abs(at_t2.amplitude("F")) - 1.0) > 1e-15:
         raise RuntimeError("nested preset mis-tuned: inner output E is not dark")
     return layout
-
-
-def random_layout(seed: int, max_arms: int = 5, max_stages: int = 5) -> NetworkLayout:
-    """Deterministic random layered network for property testing.
-
-    Every slice shares one arm set; each stage shuffles the arms, pairs
-    them into beamsplitters with random angles and phases, and routes any
-    leftover arm through a phase plate, a mirror swap or a bare
-    pass-through.  All stage matrices are square unitaries.
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    n_arms = int(rng.integers(2, max_arms + 1))
-    n_stages = int(rng.integers(2, max_stages + 1))
-    arms = tuple(f"a{i}" for i in range(n_arms))
-    stages = []
-    for k in range(n_stages):
-        order = list(rng.permutation(n_arms))
-        comps: list[ComponentSpec] = []
-        passes: list[str] = []
-        i = 0
-        while i + 1 < len(order):
-            pair = (arms[order[i]], arms[order[i + 1]])
-            theta = float(rng.uniform(0.0, math.pi / 2))
-            phase = float(rng.uniform(0.0, 2 * math.pi))
-            comps.append(beamsplitter(f"BS{k}_{i // 2}", pair, pair, theta, phase))
-            i += 2
-        if i < len(order):
-            arm = arms[order[i]]
-            choice = rng.integers(0, 3)
-            if choice == 0:
-                passes.append(arm)
-            elif choice == 1:
-                comps.append(phase_plate(arm, float(rng.uniform(0.0, 2 * math.pi))))
-            else:
-                comps.append(mirror(f"M{k}", arm, arm))
-        stages.append(Stage(k, tuple(comps), tuple(passes)))
-    source = arms[int(rng.integers(0, n_arms))]
-    ports = tuple((f"P_{a}", a) for a in arms)
-    return NetworkLayout(
-        slices=tuple(arms for _ in range(n_stages + 1)),
-        stages=tuple(stages),
-        source=source,
-        detector_ports=ports,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -323,25 +322,6 @@ class ComparisonTable:
     def all_pass(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "all_pass": self.all_pass,
-                "rows": [
-                    {
-                        "name": r.name,
-                        "analytic": r.analytic,
-                        "grid": r.grid,
-                        "abs_dev": r.abs_dev,
-                        "tol": r.tol,
-                        "pass": r.passed,
-                    }
-                    for r in self.rows
-                ],
-            },
-            indent=2,
-        )
-
 
 def experiment_key(experiment: Experiment, port: str) -> str:
     blob = serialize_network(experiment.layout) + repr(experiment.meters) + port
@@ -401,13 +381,12 @@ def experiment_reports(experiment: Experiment, port: str,
     )
 
 
-def compare(analytic: Report, grid: Report,
-            tolerances: float | dict[str, float] = 1e-7) -> ComparisonTable:
+def compare(analytic: Report, grid: Report, tol: float = 1e-7) -> ComparisonTable:
     """Line up two reports name by name.
 
-    ``tolerances`` is either one absolute tolerance for everything or a
-    per-name map (missing names fall back to 1e-7).  The two reports must
-    describe the same experiment.
+    A quantity passes when the two routes differ by at most ``tol``, one
+    absolute tolerance for every quantity.  The two reports must describe
+    the same experiment.
     """
     if analytic.experiment_key != grid.experiment_key:
         raise ValueError("reports describe different experiments")
@@ -416,10 +395,6 @@ def compare(analytic: Report, grid: Report,
         raise ValueError("reports share no quantities")
     rows = []
     for name in names:
-        if isinstance(tolerances, dict):
-            tol = tolerances.get(name, 1e-7)
-        else:
-            tol = float(tolerances)
         a, g = float(analytic.values[name]), float(grid.values[name])
         dev = abs(a - g)
         rows.append(ComparisonRow(name, a, g, dev, tol, bool(dev <= tol)))

@@ -22,11 +22,8 @@ weak-value estimate with propagated errors.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -47,7 +44,6 @@ __all__ = [
     "SamplingBudgetExceeded",
     "calibrate_cost_model",
     "estimate_from_samples",
-    "export_batch_csv",
     "readout_plans",
     "required_samples",
     "sample_readings",
@@ -483,46 +479,3 @@ def calibrate_cost_model(
     rel = math.hypot(*est.sequential_stderr) / abs(exact)
     constant = rel ** 2 * n * (g1 * g2) ** 2 / sigma ** 4
     return CostModel(constant, reference=f"g1={g1} g2={g2} sigma={sigma} n={n}")
-
-
-# ----------------------------------------------------------------------
-# Export
-
-
-def export_batch_csv(batch: SampleBatch, path: str | Path,
-                     meta_path: str | Path | None = None) -> Path:
-    """Write readings as CSV rows ``meter_id,quadrature,reading``.
-
-    A JSON sidecar (default: same name with ``.meta.json`` appended)
-    records the seed, the reading count, the postselection pass rate and
-    the readings kept per candidate drawn (``rejection_acceptance_rate``),
-    enough to reproduce the batch bit for bit.
-    """
-    path = Path(path)
-    meta = Path(meta_path) if meta_path is not None else path.with_name(
-        path.name + ".meta.json"
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["meter_id", "quadrature", "reading"])
-        for row in batch.readings:
-            for meter, quad, value in zip(batch.meters, batch.plan.quadratures, row):
-                writer.writerow([meter.meter_id, quad, repr(float(value))])
-    meta.write_text(json.dumps({
-        "seed": batch.plan.seed,
-        "n": batch.plan.n,
-        "pass_rate": batch.postselection_probability,
-        "rejection_acceptance_rate": batch.acceptance_rate,
-        "quadratures": list(batch.plan.quadratures),
-        "meters": [
-            {
-                "meter_id": m.meter_id,
-                "arm": m.arm,
-                "slice": m.slice_index,
-                "strength": m.strength,
-                "sigma": m.sigma,
-            }
-            for m in batch.meters
-        ],
-    }, indent=2) + "\n")
-    return path

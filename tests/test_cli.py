@@ -202,6 +202,15 @@ def test_montecarlo_small_run(capsys):
     assert all(abs(float(r["z"])) < 4 for r in rows)
 
 
+def test_montecarlo_single_reading_fails_every_row(capsys):
+    # one reading per batch leaves every standard error infinite: no row is tested
+    code, out, err = run_cli("montecarlo", "--n", "1", capsys=capsys)
+    assert code == 1 and err == ""
+    rows = rows_of(out)
+    assert len(rows) == 12
+    assert all((r["stderr"], r["z"], r["pass"]) == ("inf", "inf", "false") for r in rows)
+
+
 def test_montecarlo_same_seed_identical_bytes(capsys):
     args = ("montecarlo", "--n", "5000", "--seed", "13")
     _, out1, _ = run_cli(*args, capsys=capsys)
@@ -615,10 +624,18 @@ def test_grid_too_large_exits_2_at_once(capsys):
      "sequential estimate needs both couplings nonzero"),
     (["meter-sweep", "--sweep", "1e-160,1e-159,1e-158,1e-157"],
      "sequential estimate needs both couplings nonzero"),
+    # a slope fitted to repeated couplings means nothing
+    (["meter-sweep", "--sweep", "0.4x1x6"],
+     "meter-sweep needs at least 4 sweep points, got 6 (1 distinct)"),
+    (["meter-sweep", "--sweep", "0.1,0.1,0.1,0.1"],
+     "meter-sweep needs at least 4 sweep points, got 4 (1 distinct)"),
+    (["meter-sweep", "--sweep", "0.1,0.2,0.1,0.2,0.3"],
+     "meter-sweep needs at least 4 sweep points, got 5 (3 distinct)"),
 ], ids=["meter_param_without_value", "unknown_network", "chain_out_of_order",
         "meters_out_of_order", "first_bad_meter_first", "two_disturbance_meters",
         "probe_chain", "probe_without_slice", "missing_config", "network_directory",
-        "unknown_port", "sweep_product_underflows", "sweep_product_subnormal"])
+        "unknown_port", "sweep_product_underflows", "sweep_product_subnormal",
+        "sweep_ladder_of_one_value", "sweep_one_value_repeated", "sweep_values_repeated"])
 def test_bad_input_exits_2_with_its_message(argv, message, tmp_path, capsys):
     code, out, err = run_cli(*[a.format(tmp=tmp_path) for a in argv], capsys=capsys)
     assert code == 2

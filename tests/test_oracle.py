@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from layouts import random_layout
 
 from tsvfsim import oracle
 from tsvfsim.meter import ZeroProbability, arm_probability, attach_meter, new_experiment
@@ -28,7 +29,7 @@ from tsvfsim.oracle import (
     grid_moments,
     grid_run,
 )
-from tsvfsim.network import nested_mzi_preset, parse_network, random_layout
+from tsvfsim.network import nested_mzi_preset, parse_network
 from tsvfsim.tsvf import postselection_amplitude
 
 T1, T2 = 2, 3
@@ -264,16 +265,13 @@ def test_compare_rejects_mismatched_experiments(preset):
         compare(a_report, b_grid)
 
 
-def test_compare_tolerance_map(preset):
+def test_compare_tolerance(preset):
     exp = new_experiment(preset)
     analytic, grid = experiment_reports(exp, "D2")
-    table = compare(analytic, grid, {"P(D2)": 1e-15})
+    table = compare(analytic, grid, 1e-15)
     assert isinstance(table, ComparisonTable)
-    row = next(r for r in table.rows if r.name == "P(D2)")
-    assert row.tol == 1e-15
-    other = next(r for r in table.rows if r.name != "P(D2)")
-    assert other.tol == 1e-7  # fallback
-    assert "all_pass" in table.to_json()
+    assert all(r.tol == 1e-15 and r.passed == (r.abs_dev <= 1e-15) for r in table.rows)
+    assert all(r.tol == 1e-7 for r in compare(analytic, grid).rows)  # the default
 
 
 def test_grid_agrees_on_random_layout():

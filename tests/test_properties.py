@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from layouts import random_layout
 
 from tsvfsim.meter import (
     GaussianPointer,
@@ -22,7 +23,6 @@ from tsvfsim.meter import postselect as meter_postselect
 from tsvfsim.network import (
     nested_mzi_preset,
     parse_network,
-    random_layout,
     serialize_network,
     stage_unitary,
 )

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from layouts import random_layout
 
 from tsvfsim.meter import (
     MAX_REGISTER_ENTRIES,
@@ -28,7 +29,7 @@ from tsvfsim.meter import (
     run_coupled,
     zeta_corr,
 )
-from tsvfsim.network import nested_mzi_preset, random_layout, stage_unitary
+from tsvfsim.network import nested_mzi_preset, stage_unitary
 
 ELEMENTS = {
     "x": gaussian_x_element,

@@ -1,6 +1,5 @@
 """Monte Carlo readout: reproducibility, distribution, error bars, cost law."""
 
-import json
 import math
 import os
 import subprocess
@@ -12,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from layouts import random_layout
 from scipy import stats
 
 import tsvfsim
@@ -29,7 +29,7 @@ from tsvfsim.meter import (
     zeta_from_correlators,
 )
 from tsvfsim import sampling
-from tsvfsim.network import nested_mzi_preset, parse_network, random_layout
+from tsvfsim.network import nested_mzi_preset, parse_network
 from tsvfsim.tsvf import forward_state, postselection_amplitude
 from tsvfsim.sampling import (
     BLOCK_SIZE,
@@ -41,7 +41,6 @@ from tsvfsim.sampling import (
     SamplingBudgetExceeded,
     calibrate_cost_model,
     estimate_from_samples,
-    export_batch_csv,
     readout_plans,
     required_samples,
     sample_readings,
@@ -307,27 +306,6 @@ def test_calibrated_model_predicts_observed_error(mixture):
     n = required_samples(0.3, 0.3, 1.0, 0.05, model)
     rel_at_n = math.sqrt(model.constant * 1.0 / (0.3 * 0.3) ** 2 / n)
     assert rel_at_n <= 0.05 * 1.001
-
-
-def test_export_batch_csv(tmp_path, mixture):
-    batch = sample_readings(mixture, ReadoutPlan(("x", "p"), 50, 17))
-    path = tmp_path / "readings.csv"
-    out = export_batch_csv(batch, path)
-    assert out == path
-    lines = path.read_text().splitlines()
-    assert lines[0] == "meter_id,quadrature,reading"
-    assert len(lines) == 1 + 50 * 2  # one row per meter per reading
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "x"
-    float(first[2])  # parses
-
-    meta = json.loads((tmp_path / "readings.csv.meta.json").read_text())
-    assert meta["seed"] == 17
-    assert meta["n"] == 50
-    assert meta["quadratures"] == ["x", "p"]
-    assert meta["pass_rate"] == pytest.approx(mixture.postselection_probability)
-    assert len(meta["meters"]) == 2
-    assert meta["meters"][0]["arm"] == "B"
 
 
 DARK_MZI = """
@@ -623,8 +601,9 @@ def test_strong_meters_sample_the_right_means():
 THREAD_SCRIPT = """
 import hashlib
 import numpy as np
+from layouts import random_layout
 from tsvfsim import meter, sampling
-from tsvfsim.network import nested_mzi_preset, random_layout
+from tsvfsim.network import nested_mzi_preset
 
 layout = random_layout(21, max_arms=6, max_stages=8)
 rng = np.random.default_rng(21)
@@ -645,7 +624,8 @@ for mix, quads, n in ((dense, "xpxpxpxpxp", 4096), (preset, "xp", 20000)):
 
 def test_readings_do_not_depend_on_blas_threads():
     src = str(Path(tsvfsim.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    here = str(Path(__file__).resolve().parent)  # the script's random_layout
+    path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
