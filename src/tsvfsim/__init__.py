@@ -1,5 +1,8 @@
 """Weak-measurement simulation for discrete-path interferometers.
 
+Each name is imported from its module (``from tsvfsim.meter import
+attach_meter``); the package itself exports only the modules.
+
 Modules
 -------
 network
@@ -20,50 +23,7 @@ cli
 """
 
 from . import meter, network, oracle, sampling, tsvf
-from .meter import (
-    Experiment,
-    ZeroProbability,
-    attach_meter,
-    new_experiment,
-    run_coupled,
-)
-from .network import (
-    NetworkLayout,
-    NetworkParseError,
-    nested_mzi_preset,
-    parse_network,
-    serialize_network,
-)
-from .tsvf import (
-    ArmProjector,
-    DegeneratePostselection,
-    ProjectorChain,
-    sequential_weak_value,
-    weak_value,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArmProjector",
-    "DegeneratePostselection",
-    "Experiment",
-    "NetworkLayout",
-    "NetworkParseError",
-    "ProjectorChain",
-    "ZeroProbability",
-    "attach_meter",
-    "cli",
-    "meter",
-    "nested_mzi_preset",
-    "network",
-    "new_experiment",
-    "oracle",
-    "parse_network",
-    "run_coupled",
-    "sampling",
-    "sequential_weak_value",
-    "serialize_network",
-    "tsvf",
-    "weak_value",
-]
+__all__ = ["cli", "meter", "network", "oracle", "sampling", "tsvf"]

@@ -109,7 +109,7 @@ def parse_meter_spec(text: str) -> MeterSpec:
     match = _METER_RE.match(text.strip())
     if not match:
         raise CliError(f"bad meter spec {text!r} (want arm@slice[:g=V,sigma=V])")
-    params = {"g": 0.3, "sigma": 1.0}
+    params = {}
     if match["params"]:
         for item in match["params"].split(","):
             key, eq, value = item.partition("=")
@@ -119,10 +119,13 @@ def parse_meter_spec(text: str) -> MeterSpec:
                 number = float(value)
             except ValueError:
                 raise CliError(f"bad number {value!r} in meter spec {text!r}") from None
-            if key not in params:
+            if key not in ("g", "sigma"):
                 raise CliError(f"unknown meter parameter {key!r} in {text!r}")
+            if key in params:
+                raise CliError(f"duplicate meter parameter {key!r} in {text!r}")
             params[key] = number
-    return MeterSpec(match["arm"], int(match["slice"]), params["g"], params["sigma"])
+    return MeterSpec(match["arm"], int(match["slice"]), params.get("g", 0.3),
+                     params.get("sigma", 1.0))
 
 
 def parse_chain_spec(text: str) -> tuple[tuple[str, int], ...]:
@@ -431,11 +434,12 @@ def cmd_oracle(layout, port, meters: list[MeterSpec],
 
 
 def _plain(value):
-    """Strip numpy scalar wrappers so CSV and JSON render builtins only."""
+    """Strip numpy scalar wrappers so CSV and JSON render builtins only; JSON has no
+    number for a non-finite float, so it becomes its CSV text ('inf', '-inf', 'nan')."""
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, float):
-        return float(value)
+        return float(value) if math.isfinite(value) else repr(float(value))
     return value
 
 
@@ -466,7 +470,7 @@ def render_json(command, columns, rows, meta, all_pass) -> str:
         "rows": rows,
         "all_pass": all_pass,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .network import NetworkLayout, stage_unitary
 
 __all__ = [
     "Experiment",
-    "GaussianPointer",
     "JointState",
     "MAX_REGISTER_ENTRIES",
     "MAX_SIGMA",
@@ -141,34 +140,22 @@ def gaussian_p2_element(a: float, b: float, sigma: float) -> float:
 
 
 @dataclass(frozen=True)
-class GaussianPointer:
-    """Initial pointer packet: zero-centred Gaussian of width sigma."""
+class MeterAttachment:
+    """One meter: its arm and slice, a strength (0 to MAX_STRENGTH) and the
+    width sigma (MIN_SIGMA to MAX_SIGMA) of its zero-centred Gaussian pointer."""
 
+    meter_id: int
+    arm: str
+    slice_index: int
+    strength: float
     sigma: float
 
     def __post_init__(self):
         if not MIN_SIGMA <= self.sigma <= MAX_SIGMA:
             raise ValueError(f"pointer width sigma must be finite, in [{MIN_SIGMA:g}, "
                              f"{MAX_SIGMA:g}]")
-
-
-@dataclass(frozen=True)
-class MeterAttachment:
-    """One meter: its arm and slice, a strength (0 to MAX_STRENGTH) and a pointer width."""
-
-    meter_id: int
-    arm: str
-    slice_index: int
-    strength: float
-    pointer: GaussianPointer
-
-    def __post_init__(self):
         if not 0.0 <= self.strength <= MAX_STRENGTH:
             raise ValueError(f"coupling strength must be finite and >= 0, at most {MAX_STRENGTH:g}")
-
-    @property
-    def sigma(self) -> float:
-        return self.pointer.sigma
 
 
 @dataclass(frozen=True)
@@ -177,9 +164,6 @@ class Experiment:
 
     layout: NetworkLayout
     meters: tuple[MeterAttachment, ...] = ()
-
-    def meter(self, meter_id: int) -> MeterAttachment:
-        return self.meters[_meter_index(self.meters, meter_id)]
 
 
 def new_experiment(layout: NetworkLayout) -> Experiment:
@@ -196,10 +180,8 @@ def attach_meter(
     MAX_SIGMA] and an arm that is not on the given slice are rejected.
     """
     experiment.layout.arm_index(slice_index, arm)
-    meter = MeterAttachment(
-        len(experiment.meters), arm, slice_index, float(strength),
-        GaussianPointer(float(sigma)),
-    )
+    meter = MeterAttachment(len(experiment.meters), arm, slice_index, float(strength),
+                            float(sigma))
     return Experiment(experiment.layout, experiment.meters + (meter,))
 
 
@@ -243,13 +225,13 @@ class JointState:
     """Dense register of particle plus pointers.
 
     ``register`` has shape ``(arms, 2, ..., 2)``: axis 0 is the arm on
-    ``slice_index``, then one axis per meter, where index 1 means that
-    meter has fired (its pointer is displaced by the strength) and index 0
-    that it has not.  ``terms`` lists the nonzero entries as ``(arm,
-    shifts) -> amplitude`` with each shift 0.0 or the meter's strength.
+    the layout's final slice, then one axis per meter, where index 1 means
+    that meter has fired (its pointer is displaced by the strength) and
+    index 0 that it has not.  ``terms`` lists the nonzero entries as
+    ``(arm, shifts) -> amplitude`` with each shift 0.0 or the meter's
+    strength.
     """
 
-    slice_index: int
     experiment: Experiment
     register: np.ndarray
 
@@ -259,7 +241,8 @@ class JointState:
 
     @property
     def terms(self) -> dict[tuple[str, tuple[float, ...]], complex]:
-        arms = self.experiment.layout.slices[self.slice_index]
+        layout = self.experiment.layout
+        arms = layout.slices[layout.final_slice]
         rows, shifts, amps = _nonzero(self.register, self.meters)
         return {(arms[i], tuple(s)): a
                 for i, s, a in zip(rows.tolist(), shifts.tolist(), amps.tolist())}
@@ -307,10 +290,7 @@ def run_coupled(experiment: Experiment) -> JointState:
     ``MAX_REGISTER_ENTRIES`` raise :class:`RegisterTooLarge`), and has unit
     norm.
     """
-    layout = experiment.layout
-    return JointState(
-        layout.final_slice, experiment, _evolve(experiment, layout.final_slice)
-    )
+    return JointState(experiment, _evolve(experiment, experiment.layout.final_slice))
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,7 +331,7 @@ def postselect(joint: JointState, port: str) -> PointerMixture:
         If the postselection probability falls below 1e-300.
     """
     layout = joint.experiment.layout
-    row = joint.register[layout.arm_index(joint.slice_index, layout.port_arm(port))]
+    row = joint.register[layout.arm_index(layout.final_slice, layout.port_arm(port))]
     prob = _moment(row, _overlaps(joint.meters)).real
     if prob < ZERO_PROBABILITY_TOL:
         raise ZeroProbability(

@@ -300,7 +300,6 @@ class Report:
     """Named scalar quantities of one experiment, from one route."""
 
     experiment_key: str
-    route: str
     values: dict[str, float]
 
 
@@ -375,10 +374,7 @@ def experiment_reports(experiment: Experiment, port: str,
     grid.update(_moments(experiment, spec, row, port))
     grid.pop("probability", None)
 
-    return (
-        Report(key, "analytic", analytic),
-        Report(key, "grid", grid),
-    )
+    return Report(key, analytic), Report(key, grid)
 
 
 def compare(analytic: Report, grid: Report, tol: float = 1e-7) -> ComparisonTable:

@@ -101,7 +101,6 @@ class SampleBatch:
     plan: ReadoutPlan
     meters: tuple[MeterAttachment, ...]
     readings: np.ndarray
-    postselection_probability: float
     acceptance_rate: float
 
 
@@ -314,8 +313,7 @@ def sample_readings(mixture: PointerMixture, plan: ReadoutPlan) -> SampleBatch:
         out[lo:hi] = block_readings[: hi - lo]
         candidates += cand
     drawn = BLOCK_SIZE * math.ceil(plan.n / BLOCK_SIZE)
-    return SampleBatch(plan, mixture.meters, out, mixture.postselection_probability,
-                       acceptance_rate=drawn / candidates)
+    return SampleBatch(plan, mixture.meters, out, acceptance_rate=drawn / candidates)
 
 
 # ----------------------------------------------------------------------
@@ -324,9 +322,10 @@ def sample_readings(mixture: PointerMixture, plan: ReadoutPlan) -> SampleBatch:
 
 @dataclass(frozen=True)
 class MomentEstimate:
+    """A sampled mean; ``stderr`` is inf when fewer than two readings back it."""
+
     value: float
     stderr: float
-    degenerate: bool = False
 
 
 def _jackknife_mean(samples: np.ndarray) -> MomentEstimate:
@@ -334,7 +333,7 @@ def _jackknife_mean(samples: np.ndarray) -> MomentEstimate:
     n = samples.shape[0]
     mean = float(samples.mean())
     if n < 2:
-        return MomentEstimate(mean, math.inf, degenerate=True)
+        return MomentEstimate(mean, math.inf)
     blocks = min(JACKKNIFE_BLOCKS, n)
     edges = np.linspace(0, n, blocks + 1).astype(int)
     total = samples.sum()
@@ -357,7 +356,6 @@ class SampleEstimates:
     zeta_stderr: tuple[float, float] | None = None
     sequential: complex | None = None
     sequential_stderr: tuple[float, float] | None = None
-    degenerate: bool = False
 
 
 def estimate_from_samples(batches: list[SampleBatch]) -> SampleEstimates:
@@ -388,11 +386,8 @@ def estimate_from_samples(batches: list[SampleBatch]) -> SampleEstimates:
                 pairs[combo] = _jackknife_mean(
                     batch.readings[:, 0] * batch.readings[:, 1]
                 )
-    degenerate = any(e.degenerate for e in singles.values()) or any(
-        e.degenerate for e in pairs.values()
-    )
     if len(meters) != 2 or any(c not in pairs for c in QUADRATURE_PAIRS):
-        return SampleEstimates(singles, pairs, degenerate=degenerate)
+        return SampleEstimates(singles, pairs)
 
     s0, s1 = meters[0].sigma ** 2, meters[1].sigma ** 2
     xx, pp, xp, px = (pairs[c] for c in QUADRATURE_PAIRS)
@@ -404,12 +399,11 @@ def estimate_from_samples(batches: list[SampleBatch]) -> SampleEstimates:
     )
     g = meters[0].strength * meters[1].strength
     if g < MIN_COUPLING_PRODUCT:
-        return SampleEstimates(singles, pairs, zeta, zeta_se, degenerate=degenerate)
+        return SampleEstimates(singles, pairs, zeta, zeta_se)
     return SampleEstimates(
         singles, pairs, zeta, zeta_se,
         sequential=zeta / g,
         sequential_stderr=(zeta_se[0] / g, zeta_se[1] / g),
-        degenerate=degenerate,
     )
 
 
@@ -422,7 +416,6 @@ class CostModel:
     """Fitted prefactor of n = C sigma^4 / (g1^2 g2^2 rel_err^2)."""
 
     constant: float
-    reference: str = ""
 
 
 def required_samples(
@@ -478,4 +471,4 @@ def calibrate_cost_model(
     est = estimate_from_samples(batches)
     rel = math.hypot(*est.sequential_stderr) / abs(exact)
     constant = rel ** 2 * n * (g1 * g2) ** 2 / sigma ** 4
-    return CostModel(constant, reference=f"g1={g1} g2={g2} sigma={sigma} n={n}")
+    return CostModel(constant)

@@ -29,7 +29,6 @@ __all__ = [
     "CoState",
     "DegeneratePostselection",
     "POSTSELECTION_TOL",
-    "PathState",
     "ProjectorChain",
     "TwoStateSweep",
     "WeakValueResult",

@@ -211,6 +211,18 @@ def test_montecarlo_single_reading_fails_every_row(capsys):
     assert all((r["stderr"], r["z"], r["pass"]) == ("inf", "inf", "false") for r in rows)
 
 
+def test_json_writes_non_finite_cells_as_their_csv_text(capsys):
+    # bare Infinity and NaN are not JSON: a strict parser refuses them
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    code, out, err = run_cli("montecarlo", "--n", "1", "--format", "json", capsys=capsys)
+    assert code == 1 and err == ""
+    rows = json.loads(out, parse_constant=refuse)["rows"]
+    assert len(rows) == 12
+    assert all((r["stderr"], r["z"], r["pass"]) == ("inf", "inf", False) for r in rows)
+
+
 def test_montecarlo_same_seed_identical_bytes(capsys):
     args = ("montecarlo", "--n", "5000", "--seed", "13")
     _, out1, _ = run_cli(*args, capsys=capsys)
@@ -602,6 +614,8 @@ def test_grid_too_large_exits_2_at_once(capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["weak-values", "--meter", "B@2:g"], "bad meter parameter 'g' in 'B@2:g'"),
+    (["disturbance", "--meter", "B@2:g=0.3,g=0.4", "--sweep", "0.1"],
+     "duplicate meter parameter 'g' in 'B@2:g=0.3,g=0.4'"),
     (["weak-values", "--network", "nope"], "network 'nope' is neither a preset name nor a file"),
     (["sequential", "--chain", "E@3,B@2"],
      "chain E@3>B@2: projector chain slices must be strictly increasing (got [3, 2]); "
@@ -631,10 +645,10 @@ def test_grid_too_large_exits_2_at_once(capsys):
      "meter-sweep needs at least 4 sweep points, got 4 (1 distinct)"),
     (["meter-sweep", "--sweep", "0.1,0.2,0.1,0.2,0.3"],
      "meter-sweep needs at least 4 sweep points, got 5 (3 distinct)"),
-], ids=["meter_param_without_value", "unknown_network", "chain_out_of_order",
-        "meters_out_of_order", "first_bad_meter_first", "two_disturbance_meters",
-        "probe_chain", "probe_without_slice", "missing_config", "network_directory",
-        "unknown_port", "sweep_product_underflows", "sweep_product_subnormal",
+], ids=["meter_param_without_value", "meter_param_repeated", "unknown_network",
+        "chain_out_of_order", "meters_out_of_order", "first_bad_meter_first",
+        "two_disturbance_meters", "probe_chain", "probe_without_slice", "missing_config",
+        "network_directory", "unknown_port", "sweep_product_underflows", "sweep_product_subnormal",
         "sweep_ladder_of_one_value", "sweep_one_value_repeated", "sweep_values_repeated"])
 def test_bad_input_exits_2_with_its_message(argv, message, tmp_path, capsys):
     code, out, err = run_cli(*[a.format(tmp=tmp_path) for a in argv], capsys=capsys)

@@ -19,7 +19,6 @@ from tsvfsim.meter import (
     MIN_COUPLING_PRODUCT,
     MIN_SIGMA,
     Experiment,
-    GaussianPointer,
     MeterAttachment,
     ZeroProbability,
     arm_probability,
@@ -104,9 +103,9 @@ def test_overlap_frozen_value():
 
 def test_pointer_requires_positive_width():
     with pytest.raises(ValueError):
-        GaussianPointer(0.0)
+        MeterAttachment(0, "B", T1, 0.1, 0.0)
     with pytest.raises(ValueError):
-        GaussianPointer(-1.0)
+        MeterAttachment(0, "B", T1, 0.1, -1.0)
 
 
 @pytest.fixture
@@ -132,22 +131,22 @@ def test_attach_meter_rejects_non_finite_numbers(preset, strength, sigma):
         attach_meter(new_experiment(preset), "B", T1, strength, sigma)
     if not math.isfinite(sigma):
         with pytest.raises(ValueError, match="finite"):
-            GaussianPointer(sigma)
+            MeterAttachment(0, "B", T1, 0.1, sigma)
 
 
 @pytest.mark.parametrize("strength", [-0.1, math.inf, math.nan, 1e51])
 def test_meter_attachment_rejects_bad_strength(strength):
     with pytest.raises(ValueError, match="coupling strength must be finite and >= 0"):
-        MeterAttachment(0, "B", T1, strength, GaussianPointer(1.0))
+        MeterAttachment(0, "B", T1, strength, 1.0)
 
 
 def test_bounds_admit_their_edges_and_reject_past_them():
     for sigma in (MIN_SIGMA, MAX_SIGMA):
-        assert GaussianPointer(sigma).sigma == sigma
+        assert MeterAttachment(0, "B", T1, 0.1, sigma).sigma == sigma
     for sigma in (MIN_SIGMA / 10, MAX_SIGMA * 10):
         with pytest.raises(ValueError, match="pointer width sigma must be finite"):
-            GaussianPointer(sigma)
-    edge = MeterAttachment(0, "B", T1, MAX_STRENGTH, GaussianPointer(1.0))
+            MeterAttachment(0, "B", T1, 0.1, sigma)
+    edge = MeterAttachment(0, "B", T1, MAX_STRENGTH, 1.0)
     assert edge.strength == MAX_STRENGTH
 
 
@@ -206,7 +205,7 @@ def test_attach_meter_assigns_sequential_ids(preset):
     exp = attach_meter(exp, "E", T2, 0.2, 1.0)
     assert [m.meter_id for m in exp.meters] == [0, 1]
     assert isinstance(exp, Experiment)
-    assert exp.meter(1).arm == "E"
+    assert exp.meters[1].arm == "E"
 
 
 def test_joint_state_norm_is_one_under_coupling(preset):

@@ -8,7 +8,6 @@ from layouts import random_layout
 
 from tsvfsim.meter import (
     Experiment,
-    GaussianPointer,
     MeterAttachment,
     arm_probability,
     attach_meter,
@@ -139,7 +138,7 @@ BAD_REFERENCES = {"slice_past_end": ("N", 5), "negative_slice": ("N", -1),
 
 def _metered(layout, arm, k):
     # built without attach_meter, so only the grid evolution checks the arm
-    return Experiment(layout, (MeterAttachment(0, arm, k, 0.1, GaussianPointer(1.0)),))
+    return Experiment(layout, (MeterAttachment(0, arm, k, 0.1, 1.0),))
 
 
 # Each entry point called with the reference (arm, k); the last three take a

