@@ -7,7 +7,7 @@ Six subcommands, each emitting one flat table as CSV (default) or JSON::
     tsvfsim disturbance  [--sweep 0.05:0.5:0.05] [--probe E@3]
     tsvfsim meter-sweep  [--sweep 0.4x0.5x6] [--meter C@2 --meter E@3]
     tsvfsim montecarlo   [--n 1000000] [--seed N]
-    tsvfsim oracle       [--grid-half-width L] [--grid-points M]
+    tsvfsim oracle       [--meter B@2 --meter E@3]   (grid: oracle.default_grid)
 
 Every table starts with a ``kind`` column (``value`` rows report numbers,
 ``check`` rows report verifications) and ends with a ``pass`` column.  The
@@ -18,9 +18,8 @@ byte-identical across runs.
 Defaults can also be given in an INI file (``--config``); explicit flags
 win over the file.  Sections: ``[scenario]`` (network, postselect, seed,
 format, probe), ``[meters]`` (any keys, sorted, one meter spec each),
-``[chains]`` (same idea), ``[sweep]`` (gs = spec), ``[montecarlo]`` (n),
-``[grid]`` (half_width, points).  A config value goes through the same
-checks as its flag.
+``[chains]`` (same idea), ``[sweep]`` (gs = spec), ``[montecarlo]`` (n).
+A config value goes through the same checks as its flag.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from .meter import (
     zeta_corr,
 )
 from .network import nested_mzi_preset, parse_network
-from .oracle import GridSpec, GridTooLarge, GridTooSmall, compare, default_grid, experiment_reports
+from .oracle import GridTooLarge, GridTooSmall, compare, default_grid, experiment_reports
 from .sampling import SamplingBudgetExceeded, estimate_from_samples, readout_plans, sample_readings
 from .tsvf import (
     ArmProjector,
@@ -409,16 +408,12 @@ def cmd_montecarlo(layout, port, meters: list[MeterSpec], n: int, seed: int):
     return columns, rows, meta
 
 
-def cmd_oracle(layout, port, meters: list[MeterSpec],
-               half_width: float | None, points: int | None):
+def cmd_oracle(layout, port, meters: list[MeterSpec]):
     columns = ("kind", "name", "analytic", "grid", "abs_dev", "tol", "pass")
     exp = build_experiment(layout, meters)
-    fallback = default_grid(exp)
-    with _input():
-        spec = GridSpec(fallback.half_width if half_width is None else half_width,
-                        fallback.points if points is None else points)
+    spec = default_grid(exp)
     analytic, grid = experiment_reports(exp, port, spec)
-    table = compare(analytic, grid, 1e-7)
+    table = compare(analytic, grid)
     rows = [
         {"kind": "value", "name": r.name, "analytic": r.analytic, "grid": r.grid,
          "abs_dev": r.abs_dev, "tol": r.tol, "pass": r.passed}
@@ -501,8 +496,6 @@ _OPTIONS = {  # keyed by argparse dest
     "chains": _Option("chains", None, {"sequential": ["B@2,E@3"]}),
     "sweep": _Option("sweep", "gs", {"disturbance": "0.05:0.5:0.05", "meter-sweep": "0.4x0.5x6"}),
     "n": _Option("montecarlo", "n", {"montecarlo": 1_000_000}, int),
-    "half_width": _Option("grid", "half_width", {}, float),
-    "points": _Option("grid", "points", {}, int),
 }
 
 
@@ -543,10 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sampled readout vs closed-form moments")
     p.add_argument("--n", type=_OPTIONS["n"].convert,
                    help="readings per quadrature combination")
-    p = sub.add_parser("oracle", parents=[common],
-                       help="closed-form route vs grid route")
-    p.add_argument("--grid-half-width", type=_OPTIONS["half_width"].convert, dest="half_width")
-    p.add_argument("--grid-points", type=_OPTIONS["points"].convert, dest="points")
+    sub.add_parser("oracle", parents=[common], help="closed-form route vs grid route")
     return parser
 
 
@@ -615,8 +605,7 @@ def run(args) -> tuple[tuple, list, dict, str]:
     elif args.command == "montecarlo":
         columns, rows, meta = cmd_montecarlo(layout, port, meters, opts["n"], opts["seed"])
     else:  # oracle; argparse allows no other command
-        columns, rows, meta = cmd_oracle(layout, port, meters, opts["half_width"],
-                                         opts["points"])
+        columns, rows, meta = cmd_oracle(layout, port, meters)
     return columns, rows, meta, opts["fmt"]
 
 
@@ -637,7 +626,11 @@ def main(argv=None) -> int:
     else:
         text = render_json(args.command, columns, rows, meta, all_pass)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write output {args.out!r}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if all_pass else 1

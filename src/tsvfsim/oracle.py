@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meter import (QUADRATURE_PAIRS, ZERO_PROBABILITY_TOL, Experiment, ZeroProbability,
-                    pointer_corr, pointer_mean, postselect, run_coupled, zeta_corr)
+                    pointer_corr, pointer_mean, postselect, run_coupled, zeta_corr,
+                    zeta_from_correlators)
 from .meter import arm_probability as analytic_arm_probability
 from .network import serialize_network, stage_unitary
 
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-10
+SPACING_PER_SIGMA = 0.5  # default grid: a pointer sampled at h = sigma / 2 errs in norm by ~1e-34
 MAX_GRID_ENTRIES = 1 << 24
 """Largest grid, ``arms * points**meters`` complex entries (256 MiB), checked before allocation."""
 _STAGE_COLUMNS = 1 << 13
@@ -65,7 +67,7 @@ class GridSpec:
     """Uniform position grid [-half_width, half_width] with an odd point count."""
 
     half_width: float
-    points: int = 1025
+    points: int
 
     def __post_init__(self):
         if not (0 < self.half_width and math.isfinite(2.0 * self.half_width)):
@@ -83,10 +85,11 @@ class GridSpec:
 
 
 def default_grid(experiment: Experiment) -> GridSpec:
-    """L = 10 max(sigma) + 2 max(g), 1025 points."""
+    """L = 10 max(sigma) + 2 max(g), on the fewest odd points spaced at most h = SPACING_PER_SIGMA
+    min(sigma): a Gaussian sampled at h keeps its norm to about 2 exp(-2 pi^2 sigma^2 / h^2)."""
     sigmas = [m.sigma for m in experiment.meters] or [1.0]
-    strengths = [m.strength for m in experiment.meters] or [0.0]
-    return GridSpec(10.0 * max(sigmas) + 2.0 * max(strengths), 1025)
+    half_width = 10.0 * max(sigmas) + 2.0 * max([m.strength for m in experiment.meters] or [0.0])
+    return GridSpec(half_width, 1 + 2 * math.ceil(half_width / SPACING_PER_SIGMA / min(sigmas)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,11 +286,9 @@ def _moments(experiment: Experiment, spec: GridSpec, spectrum: np.ndarray,
         del rho
     for i, mi in enumerate(ids):
         for j, mj in enumerate(ids[i + 1:], i + 1):
-            xx, pp = values[f"corr.x{mi}_x{mj}"], values[f"corr.p{mi}_p{mj}"]
-            xp, px = values[f"corr.x{mi}_p{mj}"], values[f"corr.p{mi}_x{mj}"]
-            si2, sj2 = meters[i].sigma ** 2, meters[j].sigma ** 2
-            values[f"zeta.{mi}_{mj}.re"] = xx - 4 * si2 * sj2 * pp
-            values[f"zeta.{mi}_{mj}.im"] = 2 * sj2 * xp + 2 * si2 * px
+            corr = (values[f"corr.{qa}{mi}_{qb}{mj}"] for qa, qb in QUADRATURE_PAIRS)
+            z = zeta_from_correlators(*corr, meters[i].sigma, meters[j].sigma)
+            values[f"zeta.{mi}_{mj}.re"], values[f"zeta.{mi}_{mj}.im"] = z.real, z.imag
     return values
 
 

@@ -274,7 +274,7 @@ def test_montecarlo_needs_two_meters(capsys):
 
 
 def test_oracle_subcommand(capsys):
-    code, out, _ = run_cli("oracle", "--grid-points", "513", capsys=capsys)
+    code, out, _ = run_cli("oracle", capsys=capsys)
     assert code == 0
     rows = rows_of(out)
     assert list(rows[0]) == ["kind", "name", "analytic", "grid", "abs_dev",
@@ -285,11 +285,31 @@ def test_oracle_subcommand(capsys):
 
 def test_oracle_reports_three_meters(capsys):
     code, out, _ = run_cli("oracle", "--meter", "B@2", "--meter", "C@2", "--meter", "E@3",
-                           "--grid-points", "129", capsys=capsys)
+                           capsys=capsys)
     assert code == 0
     rows = rows_of(out)
     assert len(rows) == 45 and {r["kind"] for r in rows} == {"value"}
     assert all(r["pass"] == "true" for r in rows)
+
+
+def test_oracle_reports_four_meters(capsys):
+    # the default grid follows the pointer width, so four preset meters fit
+    code, out, _ = run_cli("oracle", "--meter", "B@2", "--meter", "C@2", "--meter", "E@3",
+                           "--meter", "N@2", "--format", "json", capsys=capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["meta"]["points"] == 45 and payload["all_pass"] is True
+    assert len(payload["rows"]) == 15 + 4 * 4 + 6 * 6
+    assert all(r["pass"] is True for r in payload["rows"])
+
+
+def test_oracle_fails_a_shift_the_grid_cannot_resolve(capsys):
+    # a pointer of width 1e50 is sampled every 5e49: the 0.3 shift is below
+    # its resolution, so the grid reads no shift and the checks must fail
+    code, out, err = run_cli("oracle", "--meter", "B@2:sigma=1e50", capsys=capsys)
+    assert code == 1 and err == ""
+    failed = {r["name"] for r in rows_of(out) if r["pass"] == "false"}
+    assert "m0.x_mean" in failed
 
 
 def test_json_format(capsys):
@@ -314,7 +334,7 @@ def test_json_format(capsys):
     ("meter-sweep", "--sweep", "0.4x0.5x4"),
     ("meter-sweep", "--meter", "B@2", "--sweep", "0.4x0.5x4"),
     ("montecarlo", "--n", "2000"),
-    ("oracle", "--grid-points", "257"),
+    ("oracle",),
 ], ids=["weak-values", "sequential", "disturbance", "disturbance-off-preset",
         "meter-sweep", "meter-sweep-one-meter", "montecarlo", "oracle"])
 def test_json_rows_carry_every_column(argv, capsys):
@@ -333,6 +353,15 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("kind,arm,slice")
+
+
+def test_out_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "wv.csv"
+    code, out, err = run_cli("weak-values", "--out", str(target), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write output {str(target)!r}: ")
+    assert "No such file or directory" in err
 
 
 def _layered(n_arms, n_slices, seed):
@@ -504,10 +533,6 @@ def test_register_too_large_exits_2(monkeypatch, capsys):
     (["montecarlo", "--meter", "B@2:g=nan", "--meter", "E@3"], "coupling strength"),
     (["montecarlo", "--seed", "-1"], "seed"),
     (["montecarlo", "--n", "0"], "need at least one reading"),
-    (["oracle", "--grid-points", "0"], "points"),
-    (["oracle", "--grid-points", "4"], "points"),
-    (["oracle", "--grid-half-width", "-1"], "half_width"),
-    (["oracle", "--grid-half-width", "nan"], "half_width"),
     (["disturbance", "--sweep", "nan"], "sweep"),
     (["weak-values", "--meter", "B@2:g=x"], "bad number 'x' in meter spec 'B@2:g=x'"),
     (["disturbance", "--sweep", "0.4x0.5x0"], "bad sweep spec '0.4x0.5x0'"),
@@ -523,8 +548,7 @@ def test_register_too_large_exits_2(monkeypatch, capsys):
     (["oracle", "--meter", "B@2:sigma=1e-200"], "pointer width sigma"),
     (["montecarlo", "--n", "100000000000"],
      "100000000000 readings of 2 quadratures need 200000000000 values (limit 67108864)"),
-], ids=["g_inf", "g_nan", "negative_seed", "no_readings", "zero_points",
-        "even_points", "negative_half_width", "nan_half_width", "nan_sweep",
+], ids=["g_inf", "g_nan", "negative_seed", "no_readings", "nan_sweep",
         "g_not_a_number", "empty_ladder", "zero_step", "g_past_bound", "sweep_past_bound",
         "sigma_past_bound", "sigma_below_bound", "montecarlo_sigma_below_bound",
         "oracle_sigma_below_bound", "readings_past_bound"])
@@ -589,26 +613,15 @@ def test_ladder_past_the_power_range_runs(capsys):
     assert len(rows) == 36 and all(r["pass"] == "true" for r in rows)
 
 
-@pytest.mark.parametrize("argv,fragment", [
-    (["oracle", "--grid-points", "9"], "discrete norm"),
-    (["oracle", "--grid-half-width", "1"], "half_width 1.0 < 6.6"),
-    (["oracle", "--grid-half-width", "1e200"], "leaves the float range"),
-], ids=["coarse", "narrow", "wide"])
-def test_grid_too_small_exits_2(argv, fragment, capsys):
-    code, out, err = run_cli(*argv, capsys=capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and fragment in err
-
-
 def test_grid_too_large_exits_2_at_once(capsys):
+    # the grid spans the wide pointer at the narrow one's spacing
     start = time.perf_counter()
-    code, out, err = run_cli("oracle", "--meter", "B@2", "--meter", "C@2", "--meter", "E@3",
+    code, out, err = run_cli("oracle", "--meter", "B@2:sigma=100", "--meter", "E@3",
                              capsys=capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert err == ("error: 3 meters on 1025 points need a grid of 3230671875 entries "
+    assert err == ("error: 2 meters on 4005 points need a grid of 48120075 entries "
                    "(limit 16777216)\n")
 
 
@@ -719,10 +732,9 @@ def test_config_meters_and_chains(tmp_path, capsys):
 @pytest.mark.parametrize("command,text,fragment", [
     ("montecarlo", "[montecarlo]\nn = abc\n", "[montecarlo] n"),
     ("montecarlo", "[scenario]\nseed = x\n", "[scenario] seed"),
-    ("oracle", "[grid]\npoints = 1.5\n", "[grid] points"),
     ("weak-values", "[scenario]\nformat = xml\n", "[scenario] format"),
     ("weak-values", "[scenario]\nnetwork = my%file.net\n", "'%file.net'"),
-], ids=["n", "seed", "points", "format", "percent"])
+], ids=["n", "seed", "format", "percent"])
 def test_bad_config_value_exits_2(command, text, fragment, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)

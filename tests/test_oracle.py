@@ -6,6 +6,7 @@ them on coupling. Agreement within 1e-7 absolute (usually far better) on
 every probability and moment is the library's strongest self-check.
 """
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -42,7 +43,7 @@ def preset():
 
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
-        GridSpec(-1.0)
+        GridSpec(-1.0, 17)
     with pytest.raises(ValueError):
         GridSpec(10.0, points=1024)  # even
     with pytest.raises(ValueError):
@@ -55,15 +56,39 @@ def test_grid_spec_validation():
 @pytest.mark.parametrize("half_width", [math.inf, math.nan, 1e308])
 def test_grid_spec_rejects_non_finite_half_width(half_width):
     with pytest.raises(ValueError, match="finite"):
-        GridSpec(half_width)
+        GridSpec(half_width, 17)
 
 
 def test_default_grid_rule(preset):
-    exp = attach_meter(new_experiment(preset), "B", T1, 0.4, 1.5)
-    exp = attach_meter(exp, "E", T2, 0.2, 0.5)
-    spec = default_grid(exp)
-    assert spec.half_width == 10 * 1.5 + 2 * 0.4
-    assert spec.points == 1025
+    for meters, points in [((), 41), ((("B", T1, 0.3, 1.0), ("E", T2, 0.3, 1.0)), 45),
+                           ((("B", T1, 0.4, 1.5), ("E", T2, 0.2, 0.5)), 129),
+                           ((("B", T1, 5.0, 0.1), ("E", T2, 2.0, 1.0)), 801),
+                           ((("B", T1, 0.3, 1e50),), 41)]:
+        exp = new_experiment(preset)
+        for arm, k, g, sigma in meters:
+            exp = attach_meter(exp, arm, k, g, sigma)
+        sigmas = [sigma for *_, sigma in meters] or [1.0]
+        spec = default_grid(exp)
+        assert spec.half_width == 10 * max(sigmas) + 2 * max([g for *_, g, _ in meters] or [0.0])
+        # the fewest odd points whose spacing is at most SPACING_PER_SIGMA * min(sigma)
+        step = oracle.SPACING_PER_SIGMA * min(sigmas)
+        assert spec.points == points, meters
+        assert spec.points % 2 == 1 and spec.spacing <= step, meters
+        assert 2 * spec.half_width / (spec.points - 3) > step, meters
+
+
+def test_default_grid_agrees_with_the_closed_form(preset):
+    # g / sigma from 0.003 to 50 on B@2 and E@3: the grid follows the
+    # narrowest pointer, and every quantity agrees with the closed form to rounding
+    cases = [((1.0, 0.3), (1.0, 0.3)), ((0.5, 2.0), (1.0, 0.3)), ((1.0, 5.0), (1.0, 5.0))]
+    cases += itertools.product(itertools.product((0.1, 0.3, 1.0, 3.0), (0.01, 0.3, 2.0, 5.0)),
+                               itertools.product((0.5, 1.0), (0.3, 2.0)))
+    for (sigma_b, g_b), (sigma_e, g_e) in cases:
+        exp = attach_meter(new_experiment(preset), "B", T1, g_b, sigma_b)
+        exp = attach_meter(exp, "E", T2, g_e, sigma_e)
+        table = compare(*experiment_reports(exp, "D2"), 1e-12)
+        assert table.all_pass, (sigma_b, g_b, sigma_e, g_e,
+                                [r for r in table.rows if not r.passed])
 
 
 def test_no_meter_grid_reduces_to_amplitudes(preset):
