@@ -14,18 +14,11 @@ Every table starts with a ``kind`` column (``value`` rows report numbers,
 process exits 0 only if every non-empty ``pass`` field is true, 1 if some
 check failed, and 2 on usage or input errors.  Output for a fixed seed is
 byte-identical across runs.
-
-Defaults can also be given in an INI file (``--config``); explicit flags
-win over the file.  Sections: ``[scenario]`` (network, postselect, seed,
-format, probe), ``[meters]`` (any keys, sorted, one meter spec each),
-``[chains]`` (same idea), ``[sweep]`` (gs = spec), ``[montecarlo]`` (n).
-A config value goes through the same checks as its flag.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import io
 import json
@@ -35,7 +28,6 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -472,46 +464,18 @@ def render_json(command, columns, rows, meta, all_pass) -> str:
 # Argument handling
 
 
-class _Option(NamedTuple):
-    """An option's --config section and key (None: every key, sorted), its
-    default by subcommand ("*": any other), and the converter and choices its
-    value passes from a flag or the file.  run() parses spec texts."""
-
-    section: str
-    key: str | None
-    defaults: dict
-    convert: Callable = str
-    choices: tuple[str, ...] | None = None
-
-
-_OPTIONS = {  # keyed by argparse dest
-    "network": _Option("scenario", "network", {"*": "nested-mzi"}),
-    "postselect": _Option("scenario", "postselect", {}),
-    "fmt": _Option("scenario", "format", {"*": "csv"}, choices=("csv", "json")),
-    "seed": _Option("scenario", "seed", {"*": DEFAULT_SEED}, int),
-    "probe": _Option("scenario", "probe", {"disturbance": "E@3"}),
-    "meters": _Option("meters", None, {
-        "disturbance": ["B@2:g=0"], "meter-sweep": ["C@2:g=0", "E@3:g=0"],
-        "montecarlo": ["B@2", "E@3"], "oracle": ["B@2", "E@3"]}),
-    "chains": _Option("chains", None, {"sequential": ["B@2,E@3"]}),
-    "sweep": _Option("sweep", "gs", {"disturbance": "0.05:0.5:0.05", "meter-sweep": "0.4x0.5x6"}),
-    "n": _Option("montecarlo", "n", {"montecarlo": 1_000_000}, int),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--network", metavar="SPEC",
+    common.add_argument("--network", metavar="SPEC", default="nested-mzi",
                         help="'nested-mzi' (default) or path to a network file")
     common.add_argument("--postselect", metavar="PORT",
                         help="detector port to condition on (preset default: D2)")
     common.add_argument("--meter", metavar="ARM@SLICE[:g=V,sigma=V]",
                         action="append", dest="meters",
                         help="attach a pointer meter; repeatable")
-    common.add_argument("--format", choices=_OPTIONS["fmt"].choices, dest="fmt")
+    common.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    common.add_argument("--config", metavar="PATH", help="INI file with defaults")
-    common.add_argument("--seed", type=_OPTIONS["seed"].convert,
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="RNG seed for sampling commands")
 
     parser = argparse.ArgumentParser(
@@ -527,92 +491,58 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="chains", help="projector chain; repeatable")
     p = sub.add_parser("disturbance", parents=[common],
                        help="probe-arm probability vs coupling strength")
-    p.add_argument("--sweep", metavar="SPEC", help="coupling sweep")
-    p.add_argument("--probe", metavar="ARM@SLICE", help="arm whose probability to track")
+    p.add_argument("--sweep", metavar="SPEC", default="0.05:0.5:0.05", help="coupling sweep")
+    p.add_argument("--probe", metavar="ARM@SLICE", default="E@3",
+                   help="arm whose probability to track")
     p = sub.add_parser("meter-sweep", parents=[common],
                        help="estimator error vs coupling strength")
-    p.add_argument("--sweep", metavar="SPEC", help="coupling sweep (>= 4 points)")
+    p.add_argument("--sweep", metavar="SPEC", default="0.4x0.5x6",
+                   help="coupling sweep (>= 4 points)")
     p = sub.add_parser("montecarlo", parents=[common],
                        help="sampled readout vs closed-form moments")
-    p.add_argument("--n", type=_OPTIONS["n"].convert,
+    p.add_argument("--n", type=int, default=1_000_000,
                    help="readings per quadrature combination")
     sub.add_parser("oracle", parents=[common], help="closed-form route vs grid route")
     return parser
 
 
-def load_config(path: str) -> dict:
-    """The options a config file sets, keyed by argparse dest; an empty
-    section sets none."""
-    parser = configparser.ConfigParser()
-    values: dict = {}
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-        # reading a value can raise too: "%" starts an interpolation
-        for dest, option in _OPTIONS.items():
-            section = parser[option.section] if parser.has_section(option.section) else {}
-            if not section:
-                continue
-            if option.key is None:
-                values[dest] = [v for _, v in sorted(section.items())]
-            elif option.key in section:
-                text = section[option.key]
-                try:
-                    values[dest] = option.convert(text)
-                    if option.choices and values[dest] not in option.choices:
-                        raise ValueError
-                except ValueError:
-                    want = ", ".join(option.choices or ()) or option.convert.__name__
-                    raise CliError(f"bad config {path!r}: [{option.section}] {option.key}: "
-                                   f"invalid value {text!r} (want {want})") from None
-    except OSError as exc:
-        raise CliError(f"cannot read config {path!r}: {exc}") from exc
-    except configparser.Error as exc:
-        raise CliError(f"bad config {path!r}: {exc}") from exc
-    return values
-
-
-def run(args) -> tuple[tuple, list, dict, str]:
-    config = load_config(args.config) if args.config else {}
-    # each option from its flag, else the config file, else its default
-    given = {**config, **{dest: v for dest, v in vars(args).items() if v is not None}}
-    opts = {dest: given.get(dest, o.defaults.get(args.command, o.defaults.get("*")))
-            for dest, o in _OPTIONS.items()}
-    layout = load_layout(opts["network"])
-    port = pick_port(layout, opts["postselect"])
-    meters = [parse_meter_spec(t) for t in opts["meters"] or ()]
+def run(args) -> tuple[tuple, list, dict]:
+    # argparse appends --meter and --chain to a non-empty default, so a
+    # subcommand run without them takes its default list here
+    default_meters = {"disturbance": ["B@2:g=0"], "meter-sweep": ["C@2:g=0", "E@3:g=0"],
+                      "montecarlo": ["B@2", "E@3"], "oracle": ["B@2", "E@3"]}
+    layout = load_layout(args.network)
+    port = pick_port(layout, args.postselect)
+    meters = [parse_meter_spec(t) for t in args.meters or default_meters.get(args.command, ())]
 
     if args.command == "weak-values":
-        columns, rows, meta = cmd_weak_values(layout, port)
-    elif args.command == "sequential":
-        chains = [parse_chain_spec(t) for t in opts["chains"]]
-        columns, rows, meta = cmd_sequential(layout, port, chains)
-    elif args.command == "disturbance":
-        sweep = parse_sweep_spec(opts["sweep"])
+        return cmd_weak_values(layout, port)
+    if args.command == "sequential":
+        chains = [parse_chain_spec(t) for t in args.chains or ["B@2,E@3"]]
+        return cmd_sequential(layout, port, chains)
+    if args.command == "disturbance":
+        sweep = parse_sweep_spec(args.sweep)
         if len(meters) > 1:
             raise CliError("disturbance tracks a single meter")
         meter = meters[0]
         try:
-            (probe,) = parse_chain_spec(opts["probe"])
+            (probe,) = parse_chain_spec(args.probe)
         except (CliError, ValueError):
-            raise CliError(f"bad probe {opts['probe']!r} (want arm@slice)") from None
-        canonical = (opts["network"] == "nested-mzi"
+            raise CliError(f"bad probe {args.probe!r} (want arm@slice)") from None
+        canonical = (args.network == "nested-mzi"
                      and (meter.arm, meter.slice_index, probe) == ("B", 2, ("E", 3)))
-        columns, rows, meta = cmd_disturbance(layout, port, meter, probe, sweep, canonical)
-    elif args.command == "meter-sweep":
-        sweep = parse_sweep_spec(opts["sweep"])
-        columns, rows, meta = cmd_meter_sweep(layout, port, meters, sweep)
-    elif args.command == "montecarlo":
-        columns, rows, meta = cmd_montecarlo(layout, port, meters, opts["n"], opts["seed"])
-    else:  # oracle; argparse allows no other command
-        columns, rows, meta = cmd_oracle(layout, port, meters)
-    return columns, rows, meta, opts["fmt"]
+        return cmd_disturbance(layout, port, meter, probe, sweep, canonical)
+    if args.command == "meter-sweep":
+        return cmd_meter_sweep(layout, port, meters, parse_sweep_spec(args.sweep))
+    if args.command == "montecarlo":
+        return cmd_montecarlo(layout, port, meters, args.n, args.seed)
+    return cmd_oracle(layout, port, meters)  # argparse allows no other command
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        columns, rows, meta, fmt = run(args)
+        columns, rows, meta = run(args)
     except (CliError, DegeneratePostselection, ZeroProbability, RegisterTooLarge,
             SamplingBudgetExceeded, GridTooSmall, GridTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -621,7 +551,7 @@ def main(argv=None) -> int:
     rows = [{c: _plain(row.get(c)) for c in columns} for row in rows]
     checks = [row["pass"] for row in rows if row["pass"] is not None]
     all_pass = all(checks)
-    if fmt == "csv":
+    if args.fmt == "csv":
         text = render_csv(columns, rows)
     else:
         text = render_json(args.command, columns, rows, meta, all_pass)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from layouts import random_layout
 from tsvfsim import meter
 from tsvfsim.meter import (
     MAX_SIGMA,
@@ -378,6 +379,34 @@ def test_complex_moment_raises(monkeypatch, preset):
     # an anti-Hermitian x^2 element makes <x^2> imaginary
     exp = attach_meter(new_experiment(preset), "B", T1, 0.4, 1.0)
     mix = postselect(run_coupled(exp), "D2")
+    monkeypatch.setitem(meter._ELEMENTS, "xx", lambda a, b, s: 1j * gaussian_x2_element(a, b, s))
+    with pytest.raises(RuntimeError, match="correlator came out complex"):
+        pointer_corr(mix, (0, "x"), (0, "x"))
+
+
+@pytest.mark.parametrize("sigma", [1e3, 1e6, 1e9])
+def test_wide_pointer_moments_stay_real(sigma, monkeypatch):
+    # a moment of size sigma**2 rounds to an imaginary part far above 1e-10
+    for seed in range(8):
+        layout = random_layout(seed)
+        first, last = layout.slices[1][0], layout.slices[-2][-1]
+        exp = attach_meter(new_experiment(layout), first, 1, 0.3 * sigma, sigma)
+        exp = attach_meter(exp, last, layout.n_slices - 2, 0.3 * sigma, 3 * sigma)
+        joint = run_coupled(exp)
+        mean_x = 0.0
+        for port in layout.ports:
+            try:
+                mix = postselect(joint, port)
+            except ZeroProbability:
+                continue  # a dark port adds nothing to the sum below
+            for q in "xp":
+                pointer_corr(mix, (0, q), (0, q))
+                pointer_corr(mix, (0, q), (1, "x"))
+                pointer_corr(mix, (0, q), (1, "p"))
+            mean_x += mix.postselection_probability * pointer_mean(mix, 0, "x")
+        # the ports together read the unconditioned pointer: shifted where the arm was lit
+        assert mean_x == pytest.approx(0.3 * sigma * arm_probability(exp, first, 1), rel=1e-9)
+    # the bound scales with the moment; it does not switch off
     monkeypatch.setitem(meter._ELEMENTS, "xx", lambda a, b, s: 1j * gaussian_x2_element(a, b, s))
     with pytest.raises(RuntimeError, match="correlator came out complex"):
         pointer_corr(mix, (0, "x"), (0, "x"))

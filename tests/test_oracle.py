@@ -264,6 +264,24 @@ def test_dark_port_reads_zero_on_the_analytic_route():
     assert compare(analytic, grid, 1e-10).all_pass
 
 
+@pytest.mark.parametrize("network,meters,port", [
+    ("preset", (), "D2"),
+    ("preset", (("B", T1),), "D2"),
+    ("preset", (("B", T1), ("E", T2)), "D2"),
+    ("preset", (("B", T1), ("C", T1), ("E", T2)), "D2"),
+    ("preset", (("B", T1), ("C", T1), ("E", T2), ("N", T1)), "D2"),
+    ("dark", (("bright", 2),), "PB"),
+], ids=["preset-0", "preset-1", "preset-2", "preset-3", "preset-4", "dark-port"])
+def test_both_routes_name_the_same_quantities(network, meters, port):
+    # compare() lines the reports up by the names they share, so a quantity
+    # one route stopped producing would drop out of the check unseen
+    exp = new_experiment(nested_mzi_preset() if network == "preset" else parse_network(DARK_MZI))
+    for arm, k in meters:
+        exp = attach_meter(exp, arm, k, 0.3, 1.0)
+    analytic, grid = experiment_reports(exp, port)
+    assert set(analytic.values) == set(grid.values)
+
+
 def test_grid_moments_on_a_dark_port_raise():
     # no path leads from the source to port PD, so its arm holds exact zeros
     layout = parse_network("arm s\narm u\narm lit\narm dark\nslice 0: s, u\n"
