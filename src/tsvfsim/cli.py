@@ -242,10 +242,12 @@ def cmd_sequential(layout, port, chain_specs: list[tuple[tuple[str, int], ...]])
     for steps in chain_specs:
         if steps in declared:
             continue
-        with _input(f"chain {_chain_label(steps)}"):
+        try:
             for arm, k in steps:
                 layout.arm_index(k, arm)
             chain = ProjectorChain.of(*steps)
+        except ValueError as exc:
+            raise CliError(f"chain {_chain_label(steps)}: {exc}") from exc
         declared[steps] = sweep.sequential_weak_value(chain).value
     for steps, value in declared.items():
         rows.append({"kind": "value", "chain": _chain_label(steps),
@@ -423,21 +425,17 @@ def cmd_oracle(layout, port, meters: list[MeterSpec]):
 def _plain(value):
     """Strip numpy scalar wrappers so CSV and JSON render builtins only; JSON has no
     number for a non-finite float, so it becomes its CSV text ('inf', '-inf', 'nan')."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
     if isinstance(value, float):
         return float(value) if math.isfinite(value) else repr(float(value))
-    return value
+    return bool(value) if isinstance(value, np.bool_) else value
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
 
 
 def render_csv(columns, rows) -> str:

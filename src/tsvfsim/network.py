@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+import string
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -55,7 +56,7 @@ __all__ = [
 UNITARITY_TOL = 1e-12
 BALANCED_ANGLE = math.pi / 4
 
-_ARM_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_ARM_CHARS = string.ascii_letters + string.digits + "_"
 
 
 class NetworkParseError(ValueError):
@@ -70,7 +71,7 @@ class NetworkParseError(ValueError):
 def _check_arm_name(name: str) -> str | None:
     if not name:
         return "empty arm name"
-    if not _ARM_RE.match(name):
+    if name.strip(_ARM_CHARS):  # something other than letters, digits and _
         return f"invalid arm name {name!r} (letters, digits and _ only)"
     return None
 
@@ -140,9 +141,9 @@ class NetworkLayout:
     ``slices`` is an ordered tuple of arm tuples; ``detector_ports`` maps
     port names to arms of the final slice (stored as ordered pairs).
 
-    Each layout object assembles a stage matrix the first time
-    :func:`stage_unitary` asks for it and keeps it, read-only, for its own
-    lifetime; equal layouts built separately do not share matrices.
+    Each layout object keeps, for its own lifetime, a map from arm to position
+    for each slice and, read-only, each stage matrix :func:`stage_unitary` has
+    assembled; equal layouts built separately share neither.
     """
 
     slices: tuple[tuple[str, ...], ...]
@@ -168,7 +169,8 @@ class NetworkLayout:
     def arm_index(self, slice_index: int, arm: str) -> int:
         """Position of ``arm`` on a slice; ``ValueError`` if the slice is out
         of range or the arm is not on it."""
-        return _arm_position(self.arms_at(slice_index), arm, slice_index)
+        self.arms_at(slice_index)
+        return _arm_position(self._arm_positions[slice_index], arm, slice_index)
 
     def port_arm(self, port: str) -> str:
         for name, arm in self.detector_ports:
@@ -184,11 +186,20 @@ class NetworkLayout:
     def _stage_matrices(self) -> list[np.ndarray | None]:
         return [None] * len(self.stages)
 
+    @cached_property
+    def _arm_positions(self) -> list[dict[str, int]]:
+        return [_positions(arms) for arms in self.slices]
 
-def _arm_position(arms: tuple[str, ...], arm: str, slice_index: int) -> int:
-    if arm not in arms:
+
+def _positions(arms: tuple[str, ...]) -> dict[str, int]:
+    """Each arm's position on a slice (the first, as ``tuple.index``, if it is listed twice)."""
+    return {arm: i for i, arm in reversed(list(enumerate(arms)))}
+
+
+def _arm_position(positions: dict[str, int], arm: str, slice_index: int) -> int:
+    if arm not in positions:
         raise ValueError(f"arm {arm!r} is not on slice {slice_index}")
-    return arms.index(arm)
+    return positions[arm]
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +211,7 @@ class PathState:
     amplitudes: np.ndarray
 
     def amplitude(self, arm: str) -> complex:
-        return complex(self.amplitudes[_arm_position(self.arms, arm, self.slice_index)])
+        return complex(self.amplitudes[_arm_position(_positions(self.arms), arm, self.slice_index)])
 
 
 def beamsplitter(name, inputs, outputs, theta=BALANCED_ANGLE, phase=0.0) -> ComponentSpec:
@@ -279,8 +290,8 @@ def _violations(layout: NetworkLayout) -> list[tuple[str, tuple | None]]:
 
     for k, stage in enumerate(layout.stages[:n_stages]):
         ins, outs = layout.slices[k], layout.slices[k + 1]
-        consumed: Counter[str] = Counter()
-        produced: Counter[str] = Counter()
+        consumed: dict[str, int] = {}
+        produced: dict[str, int] = {}
         elements = [(c.inputs, c.outputs, "input", "output") for c in stage.components]
         elements += [((a,), (a,), "pass-through", "pass-through") for a in stage.pass_through]
         for i, (inputs, outputs, in_role, out_role) in enumerate(elements):
@@ -288,21 +299,21 @@ def _violations(layout: NetworkLayout) -> list[tuple[str, tuple | None]]:
             for arm in inputs:
                 if arm not in ins:
                     add(f"stage {k}: {in_role} arm {arm!r} is not on slice {k}", site)
-                consumed[arm] += 1
+                consumed[arm] = consumed.get(arm, 0) + 1
                 if consumed[arm] == 2:
                     add(f"arm {arm} double-consumed at stage {k}", site)
             for arm in outputs:
                 if arm not in outs:
                     add(f"stage {k}: {out_role} arm {arm!r} is not on slice {k + 1}", site)
-                produced[arm] += 1
+                produced[arm] = produced.get(arm, 0) + 1
                 if produced[arm] == 2:
                     add(f"arm {arm} produced twice at stage {k}", site)
         for arm in ins:
-            if not consumed[arm]:
+            if arm not in consumed:
                 add(f"arm {arm} at slice {k} is neither consumed nor passed through",
                     ("slice", k))
         for arm in outs:
-            if not produced[arm]:
+            if arm not in produced:
                 add(f"arm {arm} at slice {k + 1} is never produced by stage {k}",
                     ("slice", k + 1))
 
@@ -332,16 +343,15 @@ def stage_unitary(layout: NetworkLayout, stage_index: int) -> np.ndarray:
     if cached is not None:
         return cached
     stage = layout.stages[stage_index]
-    ins = layout.slices[stage_index]
-    outs = layout.slices[stage_index + 1]
-    u = np.zeros((len(outs), len(ins)), dtype=complex)
+    ins, outs = layout._arm_positions[stage_index:stage_index + 2]
+    u = np.zeros((len(layout.slices[stage_index + 1]), len(layout.slices[stage_index])), complex)
     for comp in stage.components:
         block = comp.block()
         for r, out_arm in enumerate(comp.outputs):
             for c, in_arm in enumerate(comp.inputs):
-                u[outs.index(out_arm), ins.index(in_arm)] = block[r, c]
+                u[outs[out_arm], ins[in_arm]] = block[r, c]
     for arm in stage.pass_through:
-        u[outs.index(arm), ins.index(arm)] = 1.0
+        u[outs[arm], ins[arm]] = 1.0
     u.setflags(write=False)
     layout._stage_matrices[stage_index] = u
     return u
@@ -437,125 +447,118 @@ def nested_mzi_preset() -> NetworkLayout:
 #   pass stage=<k> arm=<a>
 #   detector <port>=<arm>
 #
-# '#' starts a comment. Arms must be declared before use. The four stage
-# directives (bs to pass) are read from _STAGE_DIRECTIVES. The structural
+# '#' starts a comment. Arms must be declared before use. parse_network reads
+# each line once and dispatches on its first word; a stage directive (bs to
+# pass) takes the keys _STAGE_KEYS lists for it, in any order. The structural
 # rules (a slice lists each arm once, stage k consumes each arm of slice k
 # once and produces each arm of slice k + 1 once, the source is on slice 0,
 # each port is declared once, on its own final-slice arm) are
 # validate_network's; a violation is reported at the line of the directive
 # it concerns.
 
-_TOKEN_RE = re.compile(r"\S+")
-_KV_RE = re.compile(r"^([A-Za-z_]+)=(.*)$")
+_SLICE_RE = re.compile(r"^\s*(slice)\s+(\d+)\s*:\s*(.*)$")
+_KEY_CHARS = string.ascii_letters + "_"
+# the keys of each stage directive, in the order their values are read
+_STAGE_KEYS = {
+    "bs": ("stage", "in", "out", "theta", "phase"),
+    "mirror": ("stage", "in", "out"),
+    "phase": ("stage", "arm", "value"),
+    "pass": ("stage", "arm"),
+}
+_DEFAULTS = {"theta": BALANCED_ANGLE, "phase": 0.0}  # the optional keys, all of bs
 
 
-def _fail(msg: str, line: int, col: int):
-    raise NetworkParseError(msg, line, col)
+class _Refused(ValueError):
+    """A line the grammar refuses: (message, word index, offset of the fault in that word)."""
 
 
-def _parse_float(text: str, line: int, col: int, declared=None) -> float:
+def _column(line: str, word: int) -> int:
+    """1-based column of the word-th whitespace-separated word of a line."""
+    end = 0
+    for text in line.split()[: word + 1]:
+        start = line.index(text, end)
+        end = start + len(text)
+    return start + 1
+
+
+def _number(text: str, word: int, offset: int) -> float:
     try:
         value = float(text)
     except ValueError:
-        _fail(f"invalid number {text!r}", line, col)
+        raise _Refused(f"invalid number {text!r}", word, offset) from None
     if not math.isfinite(value):
-        _fail(f"non-finite number {text!r}", line, col)
+        raise _Refused(f"non-finite number {text!r}", word, offset)
     return value
 
 
-def _parse_int(text: str, line: int, col: int, declared=None) -> int:
+def _integer(text: str, word: int, offset: int) -> int:
     try:
         return int(text)
     except ValueError:
-        _fail(f"invalid integer {text!r}", line, col)
+        raise _Refused(f"invalid integer {text!r}", word, offset) from None
 
 
-def _parse_arm(text: str, line: int, col: int, declared: dict[str, int]) -> str:
-    err = _check_arm_name(text)
-    if err:
-        _fail(err, line, col)
-    if text not in declared:
-        _fail(f"unknown arm reference {text!r}", line, col)
+def _arm(text: str, word: int, offset: int, declared: set[str]) -> str:
+    if text not in declared:  # a declared name is a valid one
+        raise _Refused(_check_arm_name(text) or f"unknown arm reference {text!r}", word, offset)
     return text
 
 
-def _parse_arms(text: str, line: int, col: int, declared: dict[str, int]) -> tuple[str, ...]:
+def _arms(text: str, word: int, offset: int, declared: set[str]) -> tuple[str, ...]:
     """Comma-separated arms; an empty piece fails before any is looked up."""
-    pieces = []
-    offset = 0
+    names = tuple([piece.strip() for piece in text.split(",")])
+    if declared.issuperset(names):
+        return names
+    starts = []  # where each name starts
     for piece in text.split(","):
-        name = piece.strip()
-        sub = col + offset + (len(piece) - len(piece.lstrip()))
-        if not name:
-            _fail("empty arm in list", line, sub)
-        pieces.append((name, sub))
+        starts.append(offset + len(piece) - len(piece.lstrip()))
         offset += len(piece) + 1
-    return tuple([_parse_arm(name, line, sub, declared) for name, sub in pieces])
+    if "" in names:
+        raise _Refused("empty arm in list", word, starts[names.index("")])
+    return tuple([_arm(name, word, start, declared) for name, start in zip(names, starts)])
 
 
-# A stage directive is (names, fields, counts, build):
-# * names: how many name tokens follow it (0 or 1);
-# * fields: (key, parser, default) in the order the keys are taken and the
-#   values parsed; _REQUIRED marks a key with no default;
-# * counts: (index among the values after stage, allowed lengths, message),
-#   checked once every value is parsed;
-# * build: makes the component from the name and the values after stage;
-#   None for pass, whose element is its arm.
-# A parser is called as parse(text, line, column, declared arms).
-_REQUIRED = object()
-_STAGE = ("stage", _parse_int, _REQUIRED)
-_STAGE_DIRECTIVES = {
-    "bs": (1, (_STAGE, ("in", _parse_arms, _REQUIRED), ("out", _parse_arms, _REQUIRED),
-               ("theta", _parse_float, BALANCED_ANGLE), ("phase", _parse_float, 0.0)),
-           ((0, (1, 2), "beamsplitter needs 1 or 2 input arms"),
-            (1, (2,), "beamsplitter needs exactly 2 output arms")),
-           beamsplitter),
-    "mirror": (1, (_STAGE, ("in", _parse_arm, _REQUIRED), ("out", _parse_arm, _REQUIRED)),
-               (), mirror),
-    "phase": (0, (_STAGE, ("arm", _parse_arm, _REQUIRED), ("value", _parse_float, _REQUIRED)),
-              (), phase_plate),
-    "pass": (0, (_STAGE, ("arm", _parse_arm, _REQUIRED)), (), None),
-}
-
-
-def _stage_directive(tokens: list[tuple[str, int]], line: str, lineno: int,
-                     declared: dict[str, int]) -> tuple[int, ComponentSpec | str]:
+def _stage_element(words: list[str], declared: set[str]) -> tuple[int, ComponentSpec | str]:
     """One stage directive line as (stage, component or pass-through arm)."""
-    directive, dcol = tokens[0]
-    names, fields, counts, build = _STAGE_DIRECTIVES[directive]
-    if names and (len(tokens) < 2 or "=" in tokens[1][0]):
-        keys = " ".join(f"{key}=..." for key, _, _ in fields)
-        _fail(f"usage: {directive} <name> {keys}", lineno, dcol)
-    given: dict[str, tuple[str, int, int]] = {}  # value, value col, key col
-    for text, col in tokens[1 + names:]:
-        m = _KV_RE.match(text)
-        if not m:
-            _fail(f"expected key=value, found {text!r}", lineno, col)
-        key, value = m.groups()
-        if key in given:
-            _fail(f"duplicate parameter {key!r}", lineno, col)
-        if not value:
-            _fail(f"empty value for {key!r}", lineno, col)
-        given[key] = (value, col + len(key) + 1, col)
-    taken = []  # parser, value text (or default), value col
-    for key, parse, default in fields:
-        if key in given:
-            value, vcol, _ = given.pop(key)
-            taken.append((parse, value, vcol))
-        elif default is _REQUIRED:
-            _fail(f"missing parameter {key!r}", lineno, len(line) + 1)
-        else:
-            taken.append((None, default, 0))
-    for key, (_, _, kcol) in given.items():
-        _fail(f"unknown parameter {key!r}", lineno, kcol)
-    stage, *values = [parse(value, lineno, col, declared) if parse else value
-                      for parse, value, col in taken]
-    for i, allowed, message in counts:
-        if len(values[i]) not in allowed:
-            _fail(message, lineno, taken[i + 1][2])
-    if build is None:
-        return stage, values[0]
-    return stage, build(tokens[1][0], *values) if names else build(*values)
+    directive = words[0]
+    keys = _STAGE_KEYS[directive]
+    named = directive in ("bs", "mirror")
+    if named and (len(words) < 2 or "=" in words[1]):
+        raise _Refused(f"usage: {directive} <name> " + " ".join(f"{k}=..." for k in keys), 0, 0)
+    given: dict[str, tuple[str, int, int]] = {}  # key -> (value, its word, its offset)
+    for i in range(1 + named, len(words)):
+        key, eq, value = words[i].partition("=")
+        if not value or key not in keys or key in given:  # else the checks below pass
+            if not eq or not key or key.strip(_KEY_CHARS):
+                raise _Refused(f"expected key=value, found {words[i]!r}", i, 0)
+            if key in given:
+                raise _Refused(f"duplicate parameter {key!r}", i, 0)
+            if not value:
+                raise _Refused(f"empty value for {key!r}", i, 0)
+        given[key] = (value, i, len(key) + 1)
+    for key in keys:
+        if key not in given and key not in _DEFAULTS:  # reported at the end of the line
+            raise _Refused(f"missing parameter {key!r}", len(words) - 1, len(words[-1]))
+    for key, (_, i, _) in given.items():
+        if key not in keys:
+            raise _Refused(f"unknown parameter {key!r}", i, 0)
+
+    stage = _integer(*given["stage"])
+    if directive == "bs":
+        inputs, outputs = _arms(*given["in"], declared), _arms(*given["out"], declared)
+        theta, phase = [_number(*given[key]) if key in given else _DEFAULTS[key]
+                        for key in ("theta", "phase")]
+        if len(inputs) not in (1, 2):
+            raise _Refused("beamsplitter needs 1 or 2 input arms", *given["in"][1:])
+        if len(outputs) != 2:
+            raise _Refused("beamsplitter needs exactly 2 output arms", *given["out"][1:])
+        return stage, beamsplitter(words[1], inputs, outputs, theta, phase)
+    if directive == "mirror":
+        return stage, mirror(words[1], _arm(*given["in"], declared), _arm(*given["out"], declared))
+    arm = _arm(*given["arm"], declared)
+    if directive == "phase":
+        return stage, phase_plate(arm, _number(*given["value"]))
+    return stage, arm
 
 
 def parse_network(text: str) -> NetworkLayout:
@@ -581,78 +584,79 @@ def parse_network(text: str) -> NetworkLayout:
         line of the offending directive (a component or ``pass`` line, a
         ``slice``, ``source`` or ``detector`` line) and column 1.
     """
-    declared: dict[str, int] = {}
+    declared: set[str] = set()
     slices: dict[int, tuple[tuple[str, ...], int]] = {}
     source: tuple[str, int] | None = None
     detectors: list[tuple[str, str, int]] = []
-    components: list[tuple[int, ComponentSpec, int]] = []  # (stage, spec, line)
-    passes: list[tuple[int, str, int]] = []
+    # stage -> (components, pass-through arms), each with its line
+    stage_lines: dict[int, tuple[list, list]] = {}
     rows = text.splitlines()
     for lineno, raw in enumerate(rows, start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        words = line.split()
+        if not words:
             continue
-        tokens = [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
-        directive, dcol = tokens[0]
+        directive = words[0]
+        try:
+            if directive in _STAGE_KEYS:
+                stage, element = _stage_element(words, declared)
+                comps, through = stage_lines.setdefault(stage, ([], []))
+                (through if directive == "pass" else comps).append((element, lineno))
 
-        if directive == "arm":
-            if len(tokens) != 2:
-                _fail("usage: arm <name>", lineno, dcol)
-            name, col = tokens[1]
-            err = _check_arm_name(name)
-            if err:
-                _fail(err, lineno, col)
-            if name in declared:
-                _fail(f"arm {name!r} declared twice", lineno, col)
-            declared[name] = lineno
+            elif directive == "arm":
+                if len(words) != 2:
+                    raise _Refused("usage: arm <name>", 0, 0)
+                err = _check_arm_name(words[1])
+                if err:
+                    raise _Refused(err, 1, 0)
+                if words[1] in declared:
+                    raise _Refused(f"arm {words[1]!r} declared twice", 1, 0)
+                declared.add(words[1])
 
-        elif directive == "slice":
-            m = re.match(r"^\s*slice\s+(\d+)\s*:\s*(.*)$", line)
-            if not m:
-                _fail("usage: slice <k>: <arm>, <arm>, ...", lineno, dcol)
-            k = int(m.group(1))
-            if k in slices:
-                _fail(f"slice {k} declared twice", lineno, dcol)
-            slices[k] = (_parse_arms(m.group(2), lineno, m.start(2) + 1, declared), lineno)
+            elif directive == "slice":
+                m = _SLICE_RE.match(line)
+                if not m:
+                    raise _Refused("usage: slice <k>: <arm>, <arm>, ...", 0, 0)
+                k = int(m.group(2))
+                if k in slices:
+                    raise _Refused(f"slice {k} declared twice", 0, 0)
+                # the list's offset is counted from the start of the directive word
+                slices[k] = (_arms(m.group(3), 0, m.start(3) - m.start(1), declared), lineno)
 
-        elif directive == "source":
-            if len(tokens) != 2:
-                _fail("usage: source <arm>", lineno, dcol)
-            if source is not None:
-                _fail("source declared twice", lineno, dcol)
-            name, col = tokens[1]
-            source = (_parse_arm(name, lineno, col, declared), lineno)
+            elif directive == "source":
+                if len(words) != 2:
+                    raise _Refused("usage: source <arm>", 0, 0)
+                if source is not None:
+                    raise _Refused("source declared twice", 0, 0)
+                source = (_arm(words[1], 1, 0, declared), lineno)
 
-        elif directive == "detector":
-            if len(tokens) != 2:
-                _fail("usage: detector <port>=<arm>", lineno, dcol)
-            text_, col = tokens[1]
-            if "=" not in text_:
-                _fail("usage: detector <port>=<arm>", lineno, col)
-            port, arm = text_.split("=", 1)
-            if not port:
-                _fail("empty detector port name", lineno, col)
-            arm = _parse_arm(arm, lineno, col + len(port) + 1, declared)
-            detectors.append((port, arm, lineno))
+            elif directive == "detector":
+                if len(words) != 2:
+                    raise _Refused("usage: detector <port>=<arm>", 0, 0)
+                port, eq, arm = words[1].partition("=")
+                if not eq:
+                    raise _Refused("usage: detector <port>=<arm>", 1, 0)
+                if not port:
+                    raise _Refused("empty detector port name", 1, 0)
+                detectors.append((port, _arm(arm, 1, len(port) + 1, declared), lineno))
 
-        elif directive in _STAGE_DIRECTIVES:
-            stage, element = _stage_directive(tokens, line, lineno, declared)
-            (passes if directive == "pass" else components).append((stage, element, lineno))
-
-        else:
-            _fail(f"unknown directive {directive!r}", lineno, dcol)
+            else:
+                raise _Refused(f"unknown directive {directive!r}", 0, 0)
+        except _Refused as exc:
+            message, word, offset = exc.args
+            raise NetworkParseError(message, lineno, _column(line, word) + offset) from None
 
     end = (max(len(rows), 1), 1)
     if not slices:
-        _fail("no slice declarations", *end)
+        raise NetworkParseError("no slice declarations", *end)
     n_slices = max(slices) + 1
     for k in range(n_slices):
         if k not in slices:
-            _fail(f"missing declaration for slice {k}", *end)
+            raise NetworkParseError(f"missing declaration for slice {k}", *end)
     if source is None:
-        _fail("missing source declaration", *end)
+        raise NetworkParseError("missing source declaration", *end)
     if not detectors:
-        _fail("missing detector declaration", *end)
+        raise NetworkParseError("missing detector declaration", *end)
 
     # the directive line of every site _violations can name
     lines = {("source",): source[1]}
@@ -660,13 +664,11 @@ def parse_network(text: str) -> NetworkLayout:
     lines.update((("port", i), line) for i, (_, _, line) in enumerate(detectors))
     # Stages out of range are kept (sorted by their number) so that
     # _violations reports them at their own line.
-    stage_numbers = set(range(n_slices - 1)).union(s for s, _, _ in components + passes)
     stages = []
-    for pos, k in enumerate(sorted(stage_numbers)):
-        comps = [(c, line) for s, c, line in components if s == k]
-        through = [(a, line) for s, a, line in passes if s == k]
+    for pos, k in enumerate(sorted(stage_lines.keys() | range(n_slices - 1))):
+        comps, through = stage_lines.get(k, ((), ()))
         stages.append(Stage(k, tuple(c for c, _ in comps), tuple(a for a, _ in through)))
-        for i, (_, line) in enumerate(comps + through):
+        for i, (_, line) in enumerate([*comps, *through]):
             lines[("element", pos, i)] = line
             lines.setdefault(("stage", pos), line)
 
@@ -679,7 +681,7 @@ def parse_network(text: str) -> NetworkLayout:
     problems = _violations(layout)
     if problems:
         message, site = problems[0]
-        _fail(message, lines.get(site, 1), 1)
+        raise NetworkParseError(message, lines.get(site, 1), 1)
     return layout
 
 
@@ -698,11 +700,13 @@ def serialize_network(layout: NetworkLayout) -> str:
     for stage in layout.stages:
         for i, comp in enumerate(stage.components):
             wiring = f"stage={stage.index} in={','.join(comp.inputs)} out={','.join(comp.outputs)}"
+            name = comp.name
+            if name.split() != [name] or "#" in name or "=" in name:  # not one readable word
+                name = f"{'BS' if comp.kind == 'beamsplitter' else 'M'}{stage.index}_{i}"
             if comp.kind == "beamsplitter":
-                name = comp.name or f"BS{stage.index}_{i}"
                 lines.append(f"bs {name} {wiring} theta={comp.theta!r} phase={comp.phase!r}")
             elif comp.kind == "mirror":
-                lines.append(f"mirror {comp.name or f'M{stage.index}_{i}'} {wiring}")
+                lines.append(f"mirror {name} {wiring}")
             else:
                 lines.append(f"phase stage={stage.index} arm={comp.inputs[0]} "
                              f"value={comp.phase!r}")

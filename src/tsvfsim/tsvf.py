@@ -9,9 +9,10 @@ that amplitude.
 
 :class:`TwoStateSweep` holds both vectors at every slice for one (layout,
 port) pair, from one forward and one backward pass, O(slices * arms²), and
-checks the slice-independence once.  A weak value then costs O(1) and a
-projector chain one matrix-vector product per stage it spans.  Stage
-matrices are built once per layout object (see
+checks the slice-independence once.  A weak value then costs O(1); a
+projector chain keeps one arm's amplitude at each projector and takes it
+on by one stage-matrix product per stage it spans.  Stage matrices and arm
+positions are built once per layout object (see
 :func:`~tsvfsim.network.stage_unitary`).  The module-level functions build
 a sweep per call; callers reading many values build one and reuse it.
 """
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkLayout, PathState, _arm_position, propagate, stage_unitary
+from .network import NetworkLayout, PathState, _arm_position, _positions, stage_unitary
+from .network import propagate  # noqa: F401  (traced here by perfbench/spans.py)
 
 __all__ = [
     "ArmProjector",
@@ -57,7 +59,7 @@ class CoState:
     components: np.ndarray
 
     def component(self, arm: str) -> complex:
-        return complex(self.components[_arm_position(self.arms, arm, self.slice_index)])
+        return complex(self.components[_arm_position(_positions(self.arms), arm, self.slice_index)])
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class ProjectorChain:
 
     @classmethod
     def of(cls, *steps: tuple[str, int]) -> "ProjectorChain":
-        return cls(tuple(ArmProjector(arm, s) for arm, s in steps))
+        return cls(tuple([ArmProjector(arm, s) for arm, s in steps]))
 
 
 @dataclass(frozen=True)
@@ -192,14 +194,11 @@ class TwoStateSweep:
         for proj in chain.projectors:
             keep = self.layout.arm_index(proj.slice_index, proj.arm)
             if current is None:
-                vec = self.kets[proj.slice_index]
-            else:
-                vec = propagate(
-                    PathState(current, self.layout.slices[current], vec), self.layout,
-                    proj.slice_index,
-                ).amplitudes
+                current, vec = proj.slice_index, self.kets[proj.slice_index]
+            for k in range(current, proj.slice_index):
+                vec = stage_unitary(self.layout, k) @ vec
             current = proj.slice_index
-            mask = np.zeros_like(vec)
+            mask = np.zeros(len(vec), dtype=complex)
             mask[keep] = vec[keep]
             vec = mask
         numerator = complex(self.bras[current] @ vec)

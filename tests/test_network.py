@@ -1,6 +1,8 @@
 """Network layout construction, validation, text format round-trips."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -611,3 +613,73 @@ def test_component_equality_ignores_name():
     b = beamsplitter("right", ("a",), ("b", "c"), 0.5)
     assert a == b
     assert a != beamsplitter("left", ("a",), ("b", "c"), 0.6)
+
+
+# 600 seeded edits of three network texts (the preset's, a random layout's
+# and a hand-spaced one with comments and tabs): token swaps within and
+# across lines, inserted, deleted and replaced tokens and values, character
+# edits, and deleted, duplicated, moved and junk lines.  Each case holds its
+# edits as [first line, end line, replacement lines] hunks and the outcome
+# recorded by fixtures/make_parse_corpus.py: "ok", or the exact error text.
+PARSE_CORPUS = Path(__file__).parent / "fixtures" / "parse_corpus.json"
+
+
+def test_parse_outcomes_match_the_recorded_corpus():
+    corpus = json.loads(PARSE_CORPUS.read_text())
+    assert len(corpus["cases"]) >= 400
+    mismatches = []
+    for n, (base, hunks, want) in enumerate(corpus["cases"]):
+        lines = corpus["bases"][base].split("\n")
+        for first, end, new in reversed(hunks):
+            lines[first:end] = new
+        try:
+            parse_network("\n".join(lines))
+            got = "ok"
+        except NetworkParseError as exc:
+            got = str(exc)
+            assert got.startswith(f"line {exc.line}, column {exc.column}: ")
+        if got != want:
+            mismatches.append((n, want, got))
+    assert not mismatches, mismatches[:5]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_wide_random_layouts_round_trip_bitwise(seed):
+    layout = random_layout(seed, max_arms=14, max_stages=16)
+    again = parse_network(serialize_network(layout))
+    assert again == layout
+    for k in range(len(layout.stages)):
+        assert np.array_equal(stage_unitary(again, k), stage_unitary(layout, k))
+
+
+@pytest.mark.parametrize("name", ["my bs", "a#b", "x=y", "tab\tname"])
+def test_names_the_parser_cannot_read_are_serialized_as_generated_ones(name):
+    layout = NetworkLayout(
+        slices=(("s",), ("u", "l"), ("a", "b")),
+        stages=(Stage(0, (beamsplitter(name, ("s",), ("u", "l"), 0.3, 0.1),)),
+                Stage(1, (mirror(name, "u", "a"), mirror("ok_name", "l", "b")))),
+        source="s",
+        detector_ports=(("PA", "a"), ("PB", "b")),
+    )
+    text = serialize_network(layout)
+    again = parse_network(text)
+    assert again == layout
+    assert [c.name for s in again.stages for c in s.components] == ["BS0_0", "M1_0", "ok_name"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_arm_index_agrees_with_the_slice_tuples(seed):
+    layout = random_layout(seed, max_arms=14, max_stages=16)
+    for k, arms in enumerate(layout.slices):
+        for arm in arms:
+            assert layout.arm_index(k, arm) == arms.index(arm)
+    last = layout.final_slice
+    for k, message in [(-1, f"invalid slice index -1 (0..{last})"),
+                       (last + 1, f"invalid slice index {last + 1} (0..{last})"),
+                       (0, "arm 'Z' is not on slice 0")]:
+        with pytest.raises(ValueError) as err:
+            layout.arm_index(k, "Z")
+        assert str(err.value) == message
+    # on a slice that lists an arm twice (an invalid layout), the first wins
+    twice = NetworkLayout((("a", "b", "a"),), (), "a", ())
+    assert twice.arm_index(0, "a") == 0

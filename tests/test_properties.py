@@ -160,6 +160,53 @@ def test_sequential_completeness_on_random_layouts(seed):
         assert marginal == pytest.approx(seq((b, 2)), abs=1e-10)
 
 
+def dense_chain_value(layout, port, steps) -> complex:
+    """The chain's weak value from whole propagator matrices and diagonal
+    projectors: <port| W(k_n, end) P_n W(k_n-1, k_n) ... P_1 W(0, k_1) |source>
+    divided by <port| W(0, end) |source>."""
+    def propagator(start, stop):
+        n = len(layout.slices[start])
+        w = np.eye(n, dtype=complex)
+        for k in range(start, stop):
+            w = stage_unitary(layout, k) @ w
+        return w
+
+    def unit(arms, arm):
+        return np.eye(len(arms), dtype=complex)[arms.index(arm)]
+
+    ket = unit(layout.slices[0], layout.source)
+    bra = unit(layout.slices[-1], layout.port_arm(port))
+    chain = propagator(0, steps[0][1])
+    for i, (arm, k) in enumerate(steps):
+        projector = np.diag(unit(layout.slices[k], arm))
+        following = steps[i + 1][1] if i + 1 < len(steps) else len(layout.slices) - 1
+        chain = propagator(k, following) @ projector @ chain
+    return (bra @ chain @ ket) / (bra @ propagator(0, len(layout.slices) - 1) @ ket)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_sequential_weak_values_match_a_dense_chase(seed):
+    # chains with slice gaps (k -> k + 2 or more) and three-step chains,
+    # on layouts of 4 to 7 slices
+    layout = random_layout(seed, max_arms=6, max_stages=6)
+    port = max(layout.ports, key=lambda p: abs(postselection_amplitude(layout, p)))
+    rng = np.random.Generator(np.random.Philox(key=seed + 1000))
+    last = len(layout.slices) - 1
+    chains = []
+    for gap in range(2, last + 1):
+        for k in range(0, last - gap + 1):
+            for _ in range(2):
+                a, b = rng.choice(layout.slices[k]), rng.choice(layout.slices[k + gap])
+                chains.append(((str(a), k), (str(b), k + gap)))
+    for _ in range(8):
+        ks = sorted(int(k) for k in rng.choice(last + 1, size=3, replace=False))
+        chains.append(tuple((str(rng.choice(layout.slices[k])), k) for k in ks))
+    assert any(len(c) == 3 for c in chains) and any(c[1][1] - c[0][1] >= 2 for c in chains)
+    for steps in chains:
+        got = sequential_weak_value(layout, port, ProjectorChain.of(*steps)).value
+        assert abs(got - dense_chain_value(layout, port, steps)) < 1e-12, steps
+
+
 @given(sigma=widths)
 def test_pointer_vacuum_moments(sigma):
     pointer = MeterAttachment(0, "B", 2, 0.1, sigma)
