@@ -26,14 +26,19 @@ exp = attach_meter(new_experiment(nested_mzi_preset()), "B", 2, g, sigma)
 exp = attach_meter(exp, "E", 3, g, sigma)
 mixture = postselect(run_coupled(exp), "D2")
 
-batches = []
-for k, quads in enumerate((("x", "x"), ("p", "p"), ("x", "p"), ("p", "x"))):
-    batch = sample_readings(mixture, ReadoutPlan(quads, n, seed + k))
-    batches.append(batch)
-    print(f"combo {quads[0]}{quads[1]}: {n} readings, "
-          f"{batch.acceptance_rate:.2f} readings kept per candidate drawn")
 
-est = estimate_from_samples(batches)
+def batches():
+    """One combination's readings at a time; the estimator takes each batch's
+    moments and lets it go before the next one is drawn."""
+    for k, quads in enumerate((("x", "x"), ("p", "p"), ("x", "p"), ("p", "x"))):
+        batch = sample_readings(mixture, ReadoutPlan(quads, n, seed + k))
+        print(f"combo {quads[0]}{quads[1]}: {n} readings, "
+              f"{batch.acceptance_rate:.2f} readings kept per candidate drawn")
+        yield batch
+        del batch
+
+
+est = estimate_from_samples(batches())
 se = math.hypot(*est.sequential_stderr)
 print(f"\nsequential weak-value estimate: {est.sequential:.4f}")
 print(f"propagated standard error:      {se:.4f}")

@@ -12,8 +12,8 @@ Six subcommands, each emitting one flat table as CSV (default) or JSON::
 Every table starts with a ``kind`` column (``value`` rows report numbers,
 ``check`` rows report verifications) and ends with a ``pass`` column.  The
 process exits 0 only if every non-empty ``pass`` field is true, 1 if some
-check failed, and 2 on usage or input errors.  Output for a fixed seed is
-byte-identical across runs.
+check failed, and 2 on usage or input errors or when memory runs out.
+Output for a fixed seed is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -364,8 +364,16 @@ def cmd_montecarlo(layout, port, meters: list[MeterSpec], n: int, seed: int):
         raise CliError("sequential estimate needs both couplings nonzero")
     columns = ("kind", "quantity", "estimate", "stderr", "exact", "z", "pass")
     mixture = postselect(run_coupled(build_experiment(layout, meters)), port)
-    batches = [sample_readings(mixture, plan) for plan in plans]
-    est = estimate_from_samples(batches)
+    acceptance_rates = {}
+
+    def draw():  # one plan's readings at a time: the estimator lets each go
+        for plan in plans:
+            batch = sample_readings(mixture, plan)
+            acceptance_rates["".join(plan.quadratures)] = batch.acceptance_rate
+            yield batch
+            del batch  # else it stays alive while the next plan is drawn
+
+    est = estimate_from_samples(draw())
 
     rows = []
 
@@ -395,9 +403,7 @@ def cmd_montecarlo(layout, port, meters: list[MeterSpec], n: int, seed: int):
         "n": n,
         "seed": seed,
         "postselection_probability": mixture.postselection_probability,
-        "acceptance_rates": {
-            "".join(b.plan.quadratures): b.acceptance_rate for b in batches
-        },
+        "acceptance_rates": acceptance_rates,
     }
     return columns, rows, meta
 
@@ -542,8 +548,8 @@ def main(argv=None) -> int:
     try:
         columns, rows, meta = run(args)
     except (CliError, DegeneratePostselection, ZeroProbability, RegisterTooLarge,
-            SamplingBudgetExceeded, GridTooSmall, GridTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            SamplingBudgetExceeded, GridTooSmall, GridTooLarge, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     # every row gets every column; a cell its command left unfilled is None
     rows = [{c: _plain(row.get(c)) for c in columns} for row in rows]

@@ -68,6 +68,12 @@ class NetworkParseError(ValueError):
         self.column = column
 
 
+def _readable_word(name: str) -> bool:
+    """Whether the text format can carry ``name`` where it reads one word:
+    nonempty, no whitespace, no ``#`` and no ``=``."""
+    return name.split() == [name] and "#" not in name and "=" not in name
+
+
 def _check_arm_name(name: str) -> str | None:
     if not name:
         return "empty arm name"
@@ -231,10 +237,11 @@ def validate_network(layout: NetworkLayout) -> list[str]:
     """Check every structural invariant; return a list of violation messages.
 
     An empty list means the layout is valid.  Checks cover arm naming,
-    stage numbering (the stage at position k must have index k), slice
-    coverage (each input arm consumed exactly once, each output arm
-    produced exactly once), source/port wiring, and numeric
-    norm-preservation ``max|U†U - I| < 1e-12`` of every stage matrix.
+    port naming (one word the text format can carry), stage numbering (the
+    stage at position k must have index k), slice coverage (each input arm
+    consumed exactly once, each output arm produced exactly once),
+    source/port wiring, and numeric norm-preservation ``max|U†U - I| <
+    1e-12`` of every stage matrix.
     """
     return [message for message, _ in _violations(layout)]
 
@@ -271,6 +278,8 @@ def _violations(layout: NetworkLayout) -> list[tuple[str, tuple | None]]:
     for i, (name, arm) in enumerate(layout.detector_ports):
         names[name] += 1
         targets[arm] += 1
+        if not _readable_word(name):
+            add(f"detector port name {name!r} is not one word without '#' or '='", ("port", i))
         if names[name] == 2:
             add(f"detector port {name} declared twice", ("port", i))
         if arm not in layout.slices[-1]:
@@ -701,7 +710,7 @@ def serialize_network(layout: NetworkLayout) -> str:
         for i, comp in enumerate(stage.components):
             wiring = f"stage={stage.index} in={','.join(comp.inputs)} out={','.join(comp.outputs)}"
             name = comp.name
-            if name.split() != [name] or "#" in name or "=" in name:  # not one readable word
+            if not _readable_word(name):
                 name = f"{'BS' if comp.kind == 'beamsplitter' else 'M'}{stage.index}_{i}"
             if comp.kind == "beamsplitter":
                 lines.append(f"bs {name} {wiring} theta={comp.theta!r} phase={comp.phase!r}")

@@ -23,6 +23,7 @@ weak-value estimate with propagated errors.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,9 +359,13 @@ class SampleEstimates:
     sequential_stderr: tuple[float, float] | None = None
 
 
-def estimate_from_samples(batches: list[SampleBatch]) -> SampleEstimates:
+def estimate_from_samples(batches: Iterable[SampleBatch]) -> SampleEstimates:
     """Turn sampled readings into moment and weak-value estimates.
 
+    ``batches`` may be any iterable, a generator included, and is consumed
+    once: each batch's moments are taken as it arrives and the batch is let
+    go before the next one is asked for, so a generator of
+    :func:`sample_readings` calls holds one batch's readings at a time.
     Singles come from per-column means; two-meter batches contribute the
     product moment of their quadrature pair.  When the four pairs of
     ``meter.QUADRATURE_PAIRS`` of one two-meter configuration are present, the
@@ -368,13 +373,13 @@ def estimate_from_samples(batches: list[SampleBatch]) -> SampleEstimates:
     assembled, with standard errors propagated in quadrature (batches are
     independent).
     """
-    if not batches:
-        raise ValueError("no batches given")
     singles: dict[tuple[int, str], MomentEstimate] = {}
     pairs: dict[tuple[str, str], MomentEstimate] = {}
-    meters = batches[0].meters
+    meters = None
     for batch in batches:
-        if batch.meters != meters:
+        if meters is None:
+            meters = batch.meters
+        elif batch.meters != meters:
             raise ValueError("batches come from different meter configurations")
         for col, (meter, quad) in enumerate(zip(batch.meters, batch.plan.quadratures)):
             key = (meter.meter_id, quad)
@@ -386,6 +391,9 @@ def estimate_from_samples(batches: list[SampleBatch]) -> SampleEstimates:
                 pairs[combo] = _jackknife_mean(
                     batch.readings[:, 0] * batch.readings[:, 1]
                 )
+        del batch  # else the loop variable holds it while the next one is drawn
+    if meters is None:
+        raise ValueError("no batches given")
     if len(meters) != 2 or any(c not in pairs for c in QUADRATURE_PAIRS):
         return SampleEstimates(singles, pairs)
 
@@ -467,8 +475,7 @@ def calibrate_cost_model(
     if g1 * g2 < MIN_COUPLING_PRODUCT:
         raise ValueError(f"cost calibration needs g1 * g2 >= {MIN_COUPLING_PRODUCT:g}")
     sigma = mixture.meters[0].sigma
-    batches = [sample_readings(mixture, plan) for plan in readout_plans(n, seed)]
-    est = estimate_from_samples(batches)
+    est = estimate_from_samples(sample_readings(mixture, plan) for plan in readout_plans(n, seed))
     rel = math.hypot(*est.sequential_stderr) / abs(exact)
     constant = rel ** 2 * n * (g1 * g2) ** 2 / sigma ** 4
     return CostModel(constant)

@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -771,3 +774,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("kind,arm,slice")
+
+
+def test_running_out_of_memory_exits_2_without_a_traceback():
+    # 2**25 readings of two meters ask for a 512 MiB batch, past a 450 MiB
+    # address space; the process itself takes about 110 MiB of it
+    limit = 450 * 2 ** 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsvfsim.cli", "montecarlo", "--n", str(2 ** 25)],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -239,7 +239,12 @@ def _tiny_layout(stages):
     ((("a", "b-c"),), (), "slice 0: invalid arm name 'b-c' (letters, digits and _ only)"),
     ((("a", "a"),), (), "arm a listed twice on slice 0"),
     ((("a",),), (("P", "a"), ("P", "a")), "detector port P declared twice"),
-], ids=["no_slices", "empty_slice", "invalid_arm", "arm_twice", "port_twice"])
+    # port names the text format cannot carry
+    *(((("a",),), ((port, "a"),),
+       f"detector port name {port!r} is not one word without '#' or '='")
+      for port in ("my port", "P#1", "a=b", "")),
+], ids=["no_slices", "empty_slice", "invalid_arm", "arm_twice", "port_twice",
+        "port_with_space", "port_with_hash", "port_with_equals", "empty_port"])
 def test_validate_reports_slice_and_port_rules(slices, ports, message):
     stages = tuple(Stage(k, ()) for k in range(len(slices) - 1))
     layout = NetworkLayout(slices=slices, stages=stages, source="a", detector_ports=ports)
@@ -389,6 +394,7 @@ def test_random_layout_round_trips(seed):
     assert validate_network(layout) == []
     again = parse_network(serialize_network(layout))
     assert again.slices == layout.slices
+    assert again.detector_ports == layout.detector_ports
     for k in range(layout.n_slices - 1):
         np.testing.assert_allclose(
             stage_unitary(again, k), stage_unitary(layout, k), atol=0

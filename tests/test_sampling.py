@@ -1,5 +1,6 @@
 """Monte Carlo readout: reproducibility, distribution, error bars, cost law."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -28,7 +29,7 @@ from tsvfsim.meter import (
     zeta_corr,
     zeta_from_correlators,
 )
-from tsvfsim import sampling
+from tsvfsim import cli, sampling
 from tsvfsim.network import nested_mzi_preset, parse_network
 from tsvfsim.tsvf import forward_state, postselection_amplitude
 from tsvfsim.sampling import (
@@ -93,6 +94,8 @@ def test_plan_bounds_its_readings():
 def test_estimates_need_batches():
     with pytest.raises(ValueError, match="no batches given"):
         estimate_from_samples([])
+    with pytest.raises(ValueError, match="no batches given"):
+        estimate_from_samples(iter([]))
 
 
 def test_calibration_needs_two_meters():
@@ -202,6 +205,50 @@ def test_batches_must_share_meter_configuration():
     b = sample_readings(two_meter_mixture(0.4), ReadoutPlan(("p", "p"), 200, 0))
     with pytest.raises(ValueError, match="different meter"):
         estimate_from_samples([a, b])
+    with pytest.raises(ValueError, match="different meter"):
+        estimate_from_samples(batch for batch in (a, b))
+
+
+def assert_same_estimates(got, want):
+    # repr writes each float in round-trip form, so equal text is equal bits
+    for field in dataclasses.fields(want):
+        assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
+
+
+def test_streamed_batches_estimate_bit_for_bit_as_a_list(mixture):
+    plans = readout_plans(5000, 17)
+    listed = estimate_from_samples([sample_readings(mixture, plan) for plan in plans])
+    streamed = estimate_from_samples(iter([sample_readings(mixture, plan) for plan in plans]))
+    drawn = estimate_from_samples(sample_readings(mixture, plan) for plan in plans)
+    assert listed.sequential is not None
+    assert_same_estimates(streamed, listed)
+    assert_same_estimates(drawn, listed)
+
+
+def test_one_streamed_dense_batch_estimates_as_a_list():
+    mix = dense_mixture()
+    batch = sample_readings(mix, ReadoutPlan(tuple("xpxpxpxpxp"), 4096, 3))
+    listed = estimate_from_samples([batch])
+    assert len(listed.singles) == 10 and not listed.pair_moments
+    assert_same_estimates(estimate_from_samples(iter([batch])), listed)
+
+
+def test_montecarlo_holds_one_batch_at_a_time(tmp_path):
+    # one plan's readings (2 x 8 B per reading) and its pair product (8 B);
+    # four batches held together would take 64 B per reading
+    out = str(tmp_path / "mc.csv")
+    cli.main(["montecarlo", "--n", "100", "--out", out])  # first-call caches
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert cli.main(["montecarlo", "--n", str(n), "--out", out]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    slope = (peak(200_000) - peak(50_000)) / 150_000
+    assert slope <= 24, slope
 
 
 def test_estimates_without_full_combination_set(mixture):
@@ -361,18 +408,22 @@ def test_preset_draws_few_candidates_per_reading(mixture):
     assert sum(per_reading) / 4 <= 3.6
 
 
-def test_dense_mixture_draws_few_candidates_per_reading():
-    exp = workloads.dense_experiment(1)
-    joint = run_coupled(exp)
+def dense_mixture():
+    """The dense-meters benchmark's mixture at seed 1: 10 meters, 28 terms."""
+    joint = run_coupled(workloads.dense_experiment(1))
     mixtures = {}
-    for port in exp.layout.ports:
+    for port in joint.experiment.layout.ports:
         try:
             mixtures[port] = postselect(joint, port)
         except ZeroProbability:
             pass
-    mix = mixtures[workloads.richest_port(mixtures)]
+    return mixtures[workloads.richest_port(mixtures)]
+
+
+def test_dense_mixture_draws_few_candidates_per_reading():
+    mix = dense_mixture()
     assert len(mix.amplitudes) == 28
-    batch = sample_readings(mix, ReadoutPlan(("x",) * len(exp.meters), 8192, 1))
+    batch = sample_readings(mix, ReadoutPlan(("x",) * len(mix.meters), 8192, 1))
     assert 1 / batch.acceptance_rate <= 12.5
 
 
