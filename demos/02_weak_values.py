@@ -31,7 +31,7 @@ for k in (2, 3):
 print("\nbackward components at the same slices:")
 for k in (2, 3):
     co = backward_state(layout, port, k)
-    pairs = ", ".join(f"{a}={z:.4f}" for a, z in zip(co.arms, co.components))
+    pairs = ", ".join(f"{a}={z:.4f}" for a, z in zip(co.arms, co.amplitudes))
     print(f"  slice {k}: {pairs}")
 
 print("\nweak values (projector on one arm):")

@@ -360,21 +360,12 @@ def cmd_montecarlo(layout, port, meters: list[MeterSpec], n: int, seed: int):
         plans = readout_plans(n, seed)
     if len(meters) != 2:
         raise CliError("montecarlo needs exactly two --meter specs")
-    if abs(meters[0].strength * meters[1].strength) < MIN_COUPLING_PRODUCT:  # the estimator's rule
+    g = meters[0].strength * meters[1].strength
+    if abs(g) < MIN_COUPLING_PRODUCT:  # the estimator's rule
         raise CliError("sequential estimate needs both couplings nonzero")
     columns = ("kind", "quantity", "estimate", "stderr", "exact", "z", "pass")
     mixture = postselect(run_coupled(build_experiment(layout, meters)), port)
-    acceptance_rates = {}
-
-    def draw():  # one plan's readings at a time: the estimator lets each go
-        for plan in plans:
-            batch = sample_readings(mixture, plan)
-            acceptance_rates["".join(plan.quadratures)] = batch.acceptance_rate
-            yield batch
-            del batch  # else it stays alive while the next plan is drawn
-
-    est = estimate_from_samples(draw())
-
+    est = estimate_from_samples(sample_readings(mixture, plan) for plan in plans)
     rows = []
 
     def check(quantity, estimate, stderr, exact):
@@ -395,7 +386,7 @@ def cmd_montecarlo(layout, port, meters: list[MeterSpec], n: int, seed: int):
     zeta_exact = zeta_corr(mixture, ids[0], ids[1])
     check("zeta.re", est.zeta.real, est.zeta_stderr[0], zeta_exact.real)
     check("zeta.im", est.zeta.imag, est.zeta_stderr[1], zeta_exact.imag)
-    seq_exact = estimate_sequential_weak_value(mixture, ids[0], ids[1])
+    seq_exact = zeta_exact / g  # meter.estimate_sequential_weak_value's operands and order
     check("seq.re", est.sequential.real, est.sequential_stderr[0], seq_exact.real)
     check("seq.im", est.sequential.imag, est.sequential_stderr[1], seq_exact.imag)
     meta = {
@@ -403,7 +394,7 @@ def cmd_montecarlo(layout, port, meters: list[MeterSpec], n: int, seed: int):
         "n": n,
         "seed": seed,
         "postselection_probability": mixture.postselection_probability,
-        "acceptance_rates": acceptance_rates,
+        "acceptance_rates": {"".join(q): rate for q, rate in est.acceptance_rates.items()},
     }
     return columns, rows, meta
 
@@ -474,56 +465,55 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'nested-mzi' (default) or path to a network file")
     common.add_argument("--postselect", metavar="PORT",
                         help="detector port to condition on (preset default: D2)")
-    common.add_argument("--meter", metavar="ARM@SLICE[:g=V,sigma=V]",
-                        action="append", dest="meters",
-                        help="attach a pointer meter; repeatable")
     common.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="RNG seed for sampling commands")
 
     parser = argparse.ArgumentParser(
         prog="tsvfsim",
         description="Two-boundary interferometer analysis from the command line.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def metered(name, summary):  # a subcommand that attaches pointer meters
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.add_argument("--meter", metavar="ARM@SLICE[:g=V,sigma=V]", action="append",
+                       dest="meters", help="attach a pointer meter; repeatable")
+        return p
+
     sub.add_parser("weak-values", parents=[common],
                    help="weak value of every arm projector at every slice")
     p = sub.add_parser("sequential", parents=[common],
                        help="sequential weak values of projector chains")
     p.add_argument("--chain", metavar="A@K,B@L,...", action="append",
                    dest="chains", help="projector chain; repeatable")
-    p = sub.add_parser("disturbance", parents=[common],
-                       help="probe-arm probability vs coupling strength")
+    p = metered("disturbance", "probe-arm probability vs coupling strength")
     p.add_argument("--sweep", metavar="SPEC", default="0.05:0.5:0.05", help="coupling sweep")
     p.add_argument("--probe", metavar="ARM@SLICE", default="E@3",
                    help="arm whose probability to track")
-    p = sub.add_parser("meter-sweep", parents=[common],
-                       help="estimator error vs coupling strength")
+    p = metered("meter-sweep", "estimator error vs coupling strength")
     p.add_argument("--sweep", metavar="SPEC", default="0.4x0.5x6",
                    help="coupling sweep (>= 4 points)")
-    p = sub.add_parser("montecarlo", parents=[common],
-                       help="sampled readout vs closed-form moments")
+    p = metered("montecarlo", "sampled readout vs closed-form moments")
     p.add_argument("--n", type=int, default=1_000_000,
                    help="readings per quadrature combination")
-    sub.add_parser("oracle", parents=[common], help="closed-form route vs grid route")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
+    metered("oracle", "closed-form route vs grid route")
     return parser
 
 
 def run(args) -> tuple[tuple, list, dict]:
-    # argparse appends --meter and --chain to a non-empty default, so a
-    # subcommand run without them takes its default list here
-    default_meters = {"disturbance": ["B@2:g=0"], "meter-sweep": ["C@2:g=0", "E@3:g=0"],
-                      "montecarlo": ["B@2", "E@3"], "oracle": ["B@2", "E@3"]}
     layout = load_layout(args.network)
     port = pick_port(layout, args.postselect)
-    meters = [parse_meter_spec(t) for t in args.meters or default_meters.get(args.command, ())]
-
     if args.command == "weak-values":
         return cmd_weak_values(layout, port)
     if args.command == "sequential":
         chains = [parse_chain_spec(t) for t in args.chains or ["B@2,E@3"]]
         return cmd_sequential(layout, port, chains)
+    # argparse appends --meter and --chain to a non-empty default, so a
+    # subcommand run without them takes its default list here
+    default_meters = {"disturbance": ["B@2:g=0"], "meter-sweep": ["C@2:g=0", "E@3:g=0"],
+                      "montecarlo": ["B@2", "E@3"], "oracle": ["B@2", "E@3"]}
+    meters = [parse_meter_spec(t) for t in args.meters or default_meters[args.command]]
     if args.command == "disturbance":
         sweep = parse_sweep_spec(args.sweep)
         if len(meters) > 1:

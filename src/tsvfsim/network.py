@@ -210,7 +210,8 @@ def _arm_position(positions: dict[str, int], arm: str, slice_index: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PathState:
-    """Amplitude vector over the arms of one slice."""
+    """Amplitude vector over the arms of one slice: a forward ket, or the
+    coefficients of a backward bra (:func:`tsvfsim.tsvf.backward_state`)."""
 
     slice_index: int
     arms: tuple[str, ...]

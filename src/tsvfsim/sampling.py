@@ -348,11 +348,13 @@ def _jackknife_mean(samples: np.ndarray) -> MomentEstimate:
 
 @dataclass(frozen=True)
 class SampleEstimates:
-    """Plug-in moments and, when all four combinations are present, the
-    assembled complex sequential estimate with propagated errors."""
+    """Plug-in moments, each quadrature combination's acceptance rate and,
+    when all four combinations are present, the assembled complex
+    sequential estimate with propagated errors."""
 
     singles: dict[tuple[int, str], MomentEstimate]
     pair_moments: dict[tuple[str, str], MomentEstimate]
+    acceptance_rates: dict[tuple[str, ...], float]
     zeta: complex | None = None
     zeta_stderr: tuple[float, float] | None = None
     sequential: complex | None = None
@@ -375,12 +377,14 @@ def estimate_from_samples(batches: Iterable[SampleBatch]) -> SampleEstimates:
     """
     singles: dict[tuple[int, str], MomentEstimate] = {}
     pairs: dict[tuple[str, str], MomentEstimate] = {}
+    rates: dict[tuple[str, ...], float] = {}
     meters = None
     for batch in batches:
         if meters is None:
             meters = batch.meters
         elif batch.meters != meters:
             raise ValueError("batches come from different meter configurations")
+        rates.setdefault(batch.plan.quadratures, batch.acceptance_rate)
         for col, (meter, quad) in enumerate(zip(batch.meters, batch.plan.quadratures)):
             key = (meter.meter_id, quad)
             if key not in singles:
@@ -395,7 +399,7 @@ def estimate_from_samples(batches: Iterable[SampleBatch]) -> SampleEstimates:
     if meters is None:
         raise ValueError("no batches given")
     if len(meters) != 2 or any(c not in pairs for c in QUADRATURE_PAIRS):
-        return SampleEstimates(singles, pairs)
+        return SampleEstimates(singles, pairs, rates)
 
     s0, s1 = meters[0].sigma ** 2, meters[1].sigma ** 2
     xx, pp, xp, px = (pairs[c] for c in QUADRATURE_PAIRS)
@@ -407,9 +411,9 @@ def estimate_from_samples(batches: Iterable[SampleBatch]) -> SampleEstimates:
     )
     g = meters[0].strength * meters[1].strength
     if g < MIN_COUPLING_PRODUCT:
-        return SampleEstimates(singles, pairs, zeta, zeta_se)
+        return SampleEstimates(singles, pairs, rates, zeta, zeta_se)
     return SampleEstimates(
-        singles, pairs, zeta, zeta_se,
+        singles, pairs, rates, zeta, zeta_se,
         sequential=zeta / g,
         sequential_stderr=(zeta_se[0] / g, zeta_se[1] / g),
     )

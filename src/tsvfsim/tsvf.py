@@ -23,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkLayout, PathState, _arm_position, _positions, stage_unitary
+from .network import NetworkLayout, PathState, stage_unitary
 from .network import propagate  # noqa: F401  (traced here by perfbench/spans.py)
 
 __all__ = [
     "ArmProjector",
-    "CoState",
     "DegeneratePostselection",
     "POSTSELECTION_TOL",
     "ProjectorChain",
@@ -48,18 +47,6 @@ or below it.  On the postselection probability this is 1e-24."""
 
 class DegeneratePostselection(ValueError):
     """The chosen port is (numerically) orthogonal to the launched state."""
-
-
-@dataclass(frozen=True, eq=False)
-class CoState:
-    """Backward-evolved postselection bra; components are ``<phi(t)|arm>``."""
-
-    slice_index: int
-    arms: tuple[str, ...]
-    components: np.ndarray
-
-    def component(self, arm: str) -> complex:
-        return complex(self.components[_arm_position(_positions(self.arms), arm, self.slice_index)])
 
 
 @dataclass(frozen=True)
@@ -134,15 +121,15 @@ def forward_state(layout: NetworkLayout, slice_index: int) -> PathState:
                      _forward_kets(layout)[slice_index])
 
 
-def backward_state(layout: NetworkLayout, port: str, slice_index: int) -> CoState:
+def backward_state(layout: NetworkLayout, port: str, slice_index: int) -> PathState:
     """Postselection bra for ``port`` pulled back to ``slice_index``.
 
-    The components are bra coefficients, i.e. ``<f| U(final, t) |arm>``;
+    The amplitudes are bra coefficients, i.e. ``<f| U(final, t) |arm>``;
     pulling back one stage multiplies by the stage matrix from the left
     (plain transpose, no conjugation).
     """
-    return CoState(slice_index, layout.arms_at(slice_index),
-                   _backward_bras(layout, port)[slice_index])
+    return PathState(slice_index, layout.arms_at(slice_index),
+                     _backward_bras(layout, port)[slice_index])
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +137,7 @@ class TwoStateSweep:
     """Forward kets and backward bras at every slice for one (layout, port).
 
     ``kets[k]`` and ``bras[k]`` are the amplitudes of :func:`forward_state`
-    and the components of :func:`backward_state` at slice ``k``;
+    and :func:`backward_state` at slice ``k``;
     ``amplitude`` is their contraction, ``<port| U |source>``.
     """
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -538,7 +539,7 @@ def test_register_too_large_exits_2(monkeypatch, capsys):
     (["montecarlo", "--seed", "-1"], "seed"),
     (["montecarlo", "--n", "0"], "need at least one reading"),
     (["disturbance", "--sweep", "nan"], "sweep"),
-    (["weak-values", "--meter", "B@2:g=x"], "bad number 'x' in meter spec 'B@2:g=x'"),
+    (["oracle", "--meter", "B@2:g=x"], "bad number 'x' in meter spec 'B@2:g=x'"),
     (["disturbance", "--sweep", "0.4x0.5x0"], "bad sweep spec '0.4x0.5x0'"),
     (["disturbance", "--sweep", "0.1:0.3:0"], "bad sweep spec '0.1:0.3:0'"),
     (["montecarlo", "--meter", "B@2:g=1e200", "--meter", "E@3", "--n", "100"],
@@ -630,7 +631,7 @@ def test_grid_too_large_exits_2_at_once(capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["weak-values", "--meter", "B@2:g"], "bad meter parameter 'g' in 'B@2:g'"),
+    (["oracle", "--meter", "B@2:g"], "bad meter parameter 'g' in 'B@2:g'"),
     (["disturbance", "--meter", "B@2:g=0.3,g=0.4", "--sweep", "0.1"],
      "duplicate meter parameter 'g' in 'B@2:g=0.3,g=0.4'"),
     (["weak-values", "--network", "nope"], "network 'nope' is neither a preset name nor a file"),
@@ -711,9 +712,10 @@ SPELLED_OUT = {
 @pytest.mark.parametrize("command", SPELLED_OUT)
 def test_defaults_print_what_their_flags_print(command, capsys):
     n = ["--n", "2000"] if command == "montecarlo" else []
+    seed = ["--seed", "20260822"] if command == "montecarlo" else []
     implicit = run_cli(command, *n, capsys=capsys)
     explicit = run_cli(command, "--network", "nested-mzi", "--postselect", "D2",
-                       "--format", "csv", "--seed", "20260822", *SPELLED_OUT[command], *n,
+                       "--format", "csv", *seed, *SPELLED_OUT[command], *n,
                        capsys=capsys)
     assert implicit == explicit
     assert implicit[0] == 0 and implicit[1]
@@ -721,6 +723,44 @@ def test_defaults_print_what_their_flags_print(command, capsys):
 
 def test_montecarlo_reads_a_million_by_default():
     assert build_parser().parse_args(["montecarlo"]).n == 1_000_000
+
+
+# the flags each subcommand reads besides --network, --postselect, --format and --out
+OWN_FLAGS = {
+    "weak-values": set(),
+    "sequential": {"--chain"},
+    "disturbance": {"--meter", "--sweep", "--probe"},
+    "meter-sweep": {"--meter", "--sweep"},
+    "montecarlo": {"--meter", "--n", "--seed"},
+    "oracle": {"--meter"},
+}
+# a value each flag would take; --n is left out, because argparse reads it as an
+# abbreviation of --network on every subcommand that has no --n
+FLAG_VALUES = {"--chain": "B@2,E@3", "--meter": "B@2", "--sweep": "0.1", "--probe": "E@3",
+               "--seed": "1"}
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
+def test_help_lists_only_the_subcommand_s_own_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    assert listed == OWN_FLAGS[command] | {"--network", "--postselect", "--format", "--out",
+                                           "--help"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, own in OWN_FLAGS.items()
+    for flag in FLAG_VALUES if flag not in own
+])
+def test_a_flag_the_subcommand_does_not_read_exits_2(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: unrecognized arguments: {flag} {FLAG_VALUES[flag]}\n" in err
 
 
 def test_config_file_flag_is_refused(tmp_path, capsys):

@@ -176,7 +176,7 @@ def test_unknown_arm_on_a_state_names_arm_and_slice(preset):
     with pytest.raises(ValueError, match=r"^arm 'Z' is not on slice 2$"):
         forward_state(preset, 2).amplitude("Z")
     with pytest.raises(ValueError, match=r"^arm 'Z' is not on slice 2$"):
-        backward_state(preset, "D2", 2).component("Z")
+        backward_state(preset, "D2", 2).amplitude("Z")
 
 
 def test_beamsplitter_block_convention():

@@ -259,6 +259,12 @@ def test_estimates_without_full_combination_set(mixture):
     assert ("x", "x") in est.pair_moments
 
 
+def test_estimates_keep_each_combination_s_first_acceptance_rate(mixture):
+    xx, px = (sample_readings(mixture, ReadoutPlan(q, 300, 8)) for q in (("x", "x"), ("p", "x")))
+    est = estimate_from_samples(iter([xx, px, dataclasses.replace(xx, acceptance_rate=0.5)]))
+    assert est.acceptance_rates == {("x", "x"): xx.acceptance_rate, ("p", "x"): px.acceptance_rate}
+
+
 def test_sequential_estimate_needs_nonzero_couplings():
     mix = two_meter_mixture(0.0)
     combos = [("x", "x"), ("p", "p"), ("x", "p"), ("p", "x")]

@@ -14,7 +14,6 @@ from tsvfsim import network, tsvf
 from tsvfsim.network import PathState, nested_mzi_preset, parse_network
 from tsvfsim.tsvf import (
     ArmProjector,
-    CoState,
     DegeneratePostselection,
     ProjectorChain,
     TwoStateSweep,
@@ -85,7 +84,7 @@ def test_backward_state_matches_hand_chase(preset):
     for k in range(preset.n_slices):
         state = backward_state(preset, "D2", k)
         np.testing.assert_allclose(
-            np.array(state.components), hand_backward(1, k), atol=1e-15
+            np.array(state.amplitudes), hand_backward(1, k), atol=1e-15
         )
 
 
@@ -93,7 +92,7 @@ def test_backward_uses_transpose_not_conjugate(preset):
     # the N component at t1 is i/sqrt(2); a conjugated evolution would
     # flip its sign
     state = backward_state(preset, "D2", T1)
-    assert abs(state.component("N") - 1j * R) < 1e-15
+    assert abs(state.amplitude("N") - 1j * R) < 1e-15
 
 
 def test_frozen_forward_amplitudes(preset):
@@ -108,11 +107,11 @@ def test_frozen_forward_amplitudes(preset):
 
 def test_frozen_backward_components(preset):
     t1 = backward_state(preset, "D2", T1)
-    assert abs(t1.component("B") - 0.5) < 1e-15
-    assert abs(t1.component("C") - 0.5j) < 1e-15
+    assert abs(t1.amplitude("B") - 0.5) < 1e-15
+    assert abs(t1.amplitude("C") - 0.5j) < 1e-15
     t2 = backward_state(preset, "D2", T2)
-    assert abs(t2.component("E") - R) < 1e-15
-    assert t2.component("F") == 0.0
+    assert abs(t2.amplitude("E") - R) < 1e-15
+    assert t2.amplitude("F") == 0.0
 
 
 def test_postselection_amplitude_and_port_probabilities(preset):
@@ -132,7 +131,7 @@ def test_contraction_is_slice_invariant(preset):
         f = forward_state(preset, k)
         b = backward_state(preset, "D2", k)
         values.append(sum(
-            b.component(a) * f.amplitude(a) for a in preset.slices[k]
+            b.amplitude(a) * f.amplitude(a) for a in preset.slices[k]
         ))
     assert max(abs(v - values[0]) for v in values) < 1e-14
 
@@ -303,9 +302,9 @@ def test_source_projector_weak_value_is_one(preset):
 
 def test_costate_component_lookup(preset):
     state = backward_state(preset, "D2", T1)
-    assert isinstance(state, CoState)
+    assert isinstance(state, PathState)
     with pytest.raises(ValueError):
-        state.component("nope")
+        state.amplitude("nope")
 
 
 def test_forward_state_is_path_state(preset):
