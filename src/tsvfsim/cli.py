@@ -471,18 +471,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsvfsim",
         description="Two-boundary interferometer analysis from the command line.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def metered(name, summary):  # a subcommand that attaches pointer meters
-        p = sub.add_parser(name, parents=[common], help=summary)
+        p = sub.add_parser(name, parents=[common], help=summary, allow_abbrev=False)
         p.add_argument("--meter", metavar="ARM@SLICE[:g=V,sigma=V]", action="append",
                        dest="meters", help="attach a pointer meter; repeatable")
         return p
 
-    sub.add_parser("weak-values", parents=[common],
+    sub.add_parser("weak-values", parents=[common], allow_abbrev=False,
                    help="weak value of every arm projector at every slice")
-    p = sub.add_parser("sequential", parents=[common],
+    p = sub.add_parser("sequential", parents=[common], allow_abbrev=False,
                        help="sequential weak values of projector chains")
     p.add_argument("--chain", metavar="A@K,B@L,...", action="append",
                    dest="chains", help="projector chain; repeatable")

@@ -8,7 +8,8 @@ chunk of n candidates costs one (n x 2m)(2m x T) product that sums each
 term's squared position distances and one real ``exp`` over them, one
 ``cos`` and one ``sin`` per candidate and p meter, written into one complex
 factor multiplied into the terms that fire it, and one (n x T)(T x k)
-product for the envelope's k columns.
+product for the envelope's k columns, each over one tile of
+``max(1024, 2**17 // max(T, m, k))`` rows of the chunk at a time.
 Randomness comes from the Philox counter-based generator: reading block
 ``b`` of a batch uses a generator keyed by ``(seed, b)``, so any
 partitioning of the same total sample count over workers reproduces the
@@ -56,6 +57,7 @@ MIN_SAMPLES = 100
 CANDIDATE_BUDGET = 1 << 22
 """Most rejection candidates one block of ``BLOCK_SIZE`` readings may draw,
 enough for an acceptance down to about 1e-3."""
+_TILE_ENTRIES = 1 << 17  # a tile's widest (rows, T) temporary, unless 1024 rows hold more
 MAX_READINGS = 1 << 26
 """Most values one plan may ask for, ``n * len(quadratures)`` (512 MiB of float64)."""
 
@@ -185,24 +187,31 @@ class _Density:
         out = np.empty((count, m))
         filled = 0
         candidates = 0
-        # every (chunk, T) temporary stays within 2^21 entries
-        most = max(1, (1 << 21) // max(t, m, self.env_cols.shape[1]))
+        width = max(t, m, self.env_cols.shape[1])
+        # a chunk draws at most 2^21 / width candidates; the draws fix the
+        # readings, the tiles they are weighed in only bound the temporaries
+        most = max(1, (1 << 21) // width)
+        tile = max(1024, _TILE_ENTRIES // width)
         while filled < count:
             draw = min(most, max(256, int(1.05 * (count - filled) / self.rate)))
-            pair = self.pair_index(rng.random(draw))
-            s = pair // t
-            s2 = pair - s * t
+            r = rng.random(draw)
             v = rng.standard_normal((draw, m))
-            v *= self.dev_row
-            v += np.take(self.half, s, axis=0)
-            v += np.take(self.half, s2, axis=0)
             u = rng.random(draw)
-            f, env = self.weights(v)
-            keep = np.compress(u * env < f, v, axis=0)
             candidates += draw
-            take = min(count - filled, keep.shape[0])
-            out[filled:filled + take] = keep[:take]
-            filled += take
+            for lo in range(0, draw, tile):
+                pair = self.pair_index(r[lo:lo + tile])
+                s = pair // t
+                vt = v[lo:lo + tile]
+                vt *= self.dev_row
+                vt += np.take(self.half, s, axis=0)
+                vt += np.take(self.half, pair - s * t, axis=0)
+                f, env = self.weights(vt)
+                keep = np.compress(u[lo:lo + tile] * env < f, vt, axis=0)
+                take = min(count - filled, keep.shape[0])
+                out[filled:filled + take] = keep[:take]
+                filled += take
+                if filled == count:
+                    break
             if filled < count and candidates >= CANDIDATE_BUDGET:
                 raise SamplingBudgetExceeded(
                     f"block {block_index} used {candidates} candidates for {filled} "
@@ -231,28 +240,26 @@ class _Density:
         meter has two squared distances, ``(v / 2 sigma)^2`` and ``((v - g) /
         2 sigma)^2``, and a term's exponent is minus the sum of the ones it
         sits on: one (n x 2m)(2m x T) product with a choice matrix of 0 and
-        -1, over blocks of 4096 rows of squares, and one real ``exp``.  The
-        sum has no cancellation, so narrow or strong meters keep their
-        digits.  A term's momentum phase is the product of ``exp(-i g_j
-        v_j)`` over the p meters it fires: one ``cos`` and one ``sin`` of
-        ``-g_j v_j`` per candidate and p meter of nonzero strength, written
-        into the real and imaginary parts of one complex factor and
-        multiplied into the rows of the terms that fire it.  The envelope's
-        k columns cost one (n x T)(T x k) product.
+        -1 and one real ``exp``.  The sum has no cancellation, so narrow or
+        strong meters keep their digits.  A term's momentum phase is the
+        product of ``exp(-i g_j v_j)`` over the p meters it fires: one ``cos``
+        and one ``sin`` of ``-g_j v_j`` per candidate and p meter of nonzero
+        strength, written into the real and imaginary parts of one complex
+        factor and multiplied into the rows of the terms that fire it.  The
+        envelope's k columns cost one (n x T)(T x k) product.  Each call
+        weighs one tile of a chunk, so n <= max(1024, 2**17 // max(T, m, k)).
         """
-        mag = np.empty((len(v), self.pick.shape[1]))
         if not self.x_cols.size:  # every exponent is 0
-            mag.fill(1.0)
+            mag = np.ones((len(v), self.pick.shape[1]))
         else:
-            for lo in range(0, len(v), 4096):  # the chunk's squares at once would raise its peak
-                vx = v[lo:lo + 4096, None, self.x_cols]
-                # stored centre-, meter-, then row-major, so each pass runs along the
-                # rows; the reshape below hands the product a row-major copy
-                squares = np.empty((2, len(self.x_cols), len(vx))).transpose(2, 0, 1)
-                np.subtract(vx, self.centers, out=squares)
-                squares /= self.widths
-                np.square(squares, out=squares)
-                np.matmul(squares.reshape(len(squares), -1), self.pick, out=mag[lo:lo + 4096])
+            vx = v[:, None, self.x_cols]
+            # stored centre-, meter-, then row-major, so each pass runs along the
+            # rows; the reshape below hands the product a row-major copy
+            squares = np.empty((2, len(self.x_cols), len(vx))).transpose(2, 0, 1)
+            np.subtract(vx, self.centers, out=squares)
+            squares /= self.widths
+            np.square(squares, out=squares)
+            mag = squares.reshape(len(squares), -1) @ self.pick
             np.exp(mag, out=mag)
         cols = mag @ self.env_cols
         cols *= cols

@@ -734,10 +734,9 @@ OWN_FLAGS = {
     "montecarlo": {"--meter", "--n", "--seed"},
     "oracle": {"--meter"},
 }
-# a value each flag would take; --n is left out, because argparse reads it as an
-# abbreviation of --network on every subcommand that has no --n
+# a value each flag would take
 FLAG_VALUES = {"--chain": "B@2,E@3", "--meter": "B@2", "--sweep": "0.1", "--probe": "E@3",
-               "--seed": "1"}
+               "--seed": "1", "--n": "100"}
 
 
 @pytest.mark.parametrize("command", OWN_FLAGS)
@@ -761,6 +760,13 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(command, flag, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"error: unrecognized arguments: {flag} {FLAG_VALUES[flag]}\n" in err
+
+
+def test_an_abbreviated_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["weak-values", "--post", "D2"])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --post D2\n" in capsys.readouterr().err
 
 
 def test_config_file_flag_is_refused(tmp_path, capsys):

@@ -473,6 +473,37 @@ def test_pair_table_holds_no_array_per_meter():
     assert peak < 3 * 8 * 1910 ** 2
 
 
+def test_a_dense_mixed_readout_weighs_its_candidates_in_tiles():
+    mix = dense_mixture()
+    plan = ReadoutPlan(tuple("xp" * 5), 8192, 1)
+    tracemalloc.start()
+    try:
+        sample_readings(mix, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk of up to 2^21 / 28 candidates weighed at once peaked at 59.4 MiB
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("case", ["dense-x", "dense-mixed", "preset-xp"])
+def test_readings_do_not_depend_on_the_tile_size(monkeypatch, mixture, case):
+    if case == "preset-xp":
+        mix, quads = mixture, ("x", "p")
+    else:
+        mix = dense_mixture()
+        quads = ("x",) * 10 if case == "dense-x" else tuple("xp" * 5)
+    plan = ReadoutPlan(quads, 8192, 4)
+    batches = []
+    # 2^21 entries make every chunk one tile, 0 gives the 1024-row floor
+    for entries in (1 << 21, sampling._TILE_ENTRIES, 0):
+        monkeypatch.setattr(sampling, "_TILE_ENTRIES", entries)
+        batches.append(sample_readings(mix, plan))
+    for batch in batches[1:]:
+        assert batch.readings.tobytes() == batches[0].readings.tobytes()
+        assert batch.acceptance_rate == batches[0].acceptance_rate
+
+
 # ----------------------------------------------------------------------
 # The factored density kernel against the closed-form packets
 
