@@ -40,6 +40,7 @@ from .meter import (
     attach_meter,
     estimate_sequential_weak_value,
     estimate_weak_value,
+    gaussian_overlap,
     new_experiment,
     pointer_corr,
     pointer_mean,
@@ -291,8 +292,7 @@ def cmd_disturbance(layout, port, meter: MeterSpec, probe: tuple[str, int],
         p_port = arm_probability(exp, layout.port_arm(port), layout.final_slice)
         row = {"kind": "value", "g": g, "p_probe": p_probe, "p_port": p_port}
         if canonical:
-            overlap = math.exp(-g * g / (8.0 * meter.sigma ** 2))
-            closed = 0.25 * (1.0 - overlap)
+            closed = 0.25 * (1.0 - gaussian_overlap(0.0, g, meter.sigma))
             row["closed_form"] = closed
             row["deviation"] = abs(p_probe - closed)
             row["pass"] = row["deviation"] < DISTURBANCE_TOL

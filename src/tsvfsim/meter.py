@@ -236,19 +236,15 @@ class JointState:
     register: np.ndarray
 
     @property
-    def meters(self) -> tuple[MeterAttachment, ...]:
-        return self.experiment.meters
-
-    @property
     def terms(self) -> dict[tuple[str, tuple[float, ...]], complex]:
         layout = self.experiment.layout
         arms = layout.slices[layout.final_slice]
-        rows, shifts, amps = _nonzero(self.register, self.meters)
+        rows, shifts, amps = _nonzero(self.register, self.experiment.meters)
         return {(arms[i], tuple(s)): a
                 for i, s, a in zip(rows.tolist(), shifts.tolist(), amps.tolist())}
 
     def norm(self) -> float:
-        return math.sqrt(max(_moment(self.register, _overlaps(self.meters)).real, 0.0))
+        return math.sqrt(max(_moment(self.register, _overlaps(self.experiment.meters)).real, 0.0))
 
 
 def _evolve(experiment: Experiment, to_slice: int) -> np.ndarray:
@@ -330,14 +326,14 @@ def postselect(joint: JointState, port: str) -> PointerMixture:
     ZeroProbability
         If the postselection probability falls below 1e-300.
     """
-    layout = joint.experiment.layout
+    layout, meters = joint.experiment.layout, joint.experiment.meters
     row = joint.register[layout.arm_index(layout.final_slice, layout.port_arm(port))]
-    prob = _moment(row, _overlaps(joint.meters)).real
+    prob = _moment(row, _overlaps(meters)).real
     if prob < ZERO_PROBABILITY_TOL:
         raise ZeroProbability(
             f"port {port!r} fires with probability {prob:.3e}"
         )
-    return PointerMixture(joint.meters, row, prob)
+    return PointerMixture(meters, row, prob)
 
 
 # ----------------------------------------------------------------------

@@ -35,8 +35,6 @@ import numpy as np
 __all__ = [
     "BALANCED_ANGLE",
     "ComponentSpec",
-    "NESTED_MZI_T1",
-    "NESTED_MZI_T2",
     "NetworkLayout",
     "NetworkParseError",
     "PathState",
@@ -396,11 +394,6 @@ def propagate(state: PathState, layout: NetworkLayout, to_slice: int) -> PathSta
     return PathState(to_slice, arms, vec)
 
 
-# Slice indices of the two weak-coupling times in the nested preset.
-NESTED_MZI_T1 = 2
-NESTED_MZI_T2 = 3
-
-
 def nested_mzi_preset() -> NetworkLayout:
     """Balanced nested Mach-Zehnder interferometer with a dark inner port.
 
@@ -408,8 +401,8 @@ def nested_mzi_preset() -> NetworkLayout:
     The outer arm N runs straight to the final recombiner; D feeds the
     inner interferometer (arms B, C) whose recombined output E carries
     exactly zero amplitude while F (modulus 1 from D) exits to port D3.
-    All beamsplitters are balanced.  Slice 2 and slice 3 are the two
-    coupling times exposed as ``NESTED_MZI_T1`` / ``NESTED_MZI_T2``.
+    All beamsplitters are balanced.  Slices 2 and 3 are the two coupling
+    times.
     """
     q = BALANCED_ANGLE
     layout = NetworkLayout(
@@ -438,7 +431,7 @@ def nested_mzi_preset() -> NetworkLayout:
     # The inner interferometer must be tuned dark toward E: amplitude(D -> E)
     # exactly 0 and |amplitude(D -> F)| = 1.  Guard the construction.
     probe = PathState(1, layout.slices[1], np.array([0.0, 1.0], dtype=complex))
-    at_t2 = propagate(probe, layout, NESTED_MZI_T2)
+    at_t2 = propagate(probe, layout, 3)
     if abs(at_t2.amplitude("E")) > 1e-15 or abs(abs(at_t2.amplitude("F")) - 1.0) > 1e-15:
         raise RuntimeError("nested preset mis-tuned: inner output E is not dark")
     return layout

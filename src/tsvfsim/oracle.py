@@ -11,13 +11,13 @@ one, or the position density.  Agreement between
 the two routes within tight tolerances is the main correctness check of
 the analytic path.  Only the pointer half is independent: the grid
 evolution applies the same stage matrices (``network.stage_unitary``) as
-the closed-form route, so a wrong stage matrix would pass both.
+the closed-form route, so a wrong stage matrix would pass both.  Two
+reports match by experiment (equal layouts and meters) and port.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -27,7 +27,7 @@ from .meter import (QUADRATURE_PAIRS, ZERO_PROBABILITY_TOL, Experiment, ZeroProb
                     pointer_corr, pointer_mean, postselect, run_coupled, zeta_corr,
                     zeta_from_correlators)
 from .meter import arm_probability as analytic_arm_probability
-from .network import serialize_network, stage_unitary
+from .network import stage_unitary
 
 __all__ = [
     "ComparisonRow",
@@ -298,9 +298,10 @@ def _moments(experiment: Experiment, spec: GridSpec, spectrum: np.ndarray,
 
 @dataclass(frozen=True)
 class Report:
-    """Named scalar quantities of one experiment, from one route."""
+    """Named scalar quantities of one experiment and port, from one route."""
 
-    experiment_key: str
+    experiment: Experiment
+    port: str
     values: dict[str, float]
 
 
@@ -323,11 +324,6 @@ class ComparisonTable:
         return all(r.passed for r in self.rows)
 
 
-def experiment_key(experiment: Experiment, port: str) -> str:
-    blob = serialize_network(experiment.layout) + repr(experiment.meters) + port
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def _probabilities(layout, marginals: dict[tuple[int, str], float]) -> dict[str, float]:
     """Port and (arm, slice) probabilities from every slice's arm marginals:
     a port fires with its arm's final-slice marginal."""
@@ -347,7 +343,6 @@ def experiment_reports(experiment: Experiment, port: str,
     """
     spec = spec or default_grid(experiment)
     layout = experiment.layout
-    key = experiment_key(experiment, port)
 
     analytic = _probabilities(layout, {(k, arm): analytic_arm_probability(experiment, arm, k)
                                        for k in range(layout.n_slices)
@@ -375,7 +370,7 @@ def experiment_reports(experiment: Experiment, port: str,
     grid.update(_moments(experiment, spec, row, port))
     grid.pop("probability", None)
 
-    return Report(key, analytic), Report(key, grid)
+    return Report(experiment, port, analytic), Report(experiment, port, grid)
 
 
 def compare(analytic: Report, grid: Report, tol: float = 1e-7) -> ComparisonTable:
@@ -383,9 +378,9 @@ def compare(analytic: Report, grid: Report, tol: float = 1e-7) -> ComparisonTabl
 
     A quantity passes when the two routes differ by at most ``tol``, one
     absolute tolerance for every quantity.  The two reports must describe
-    the same experiment.
+    equal experiments (component names aside) postselected on the same port.
     """
-    if analytic.experiment_key != grid.experiment_key:
+    if (analytic.experiment, analytic.port) != (grid.experiment, grid.port):
         raise ValueError("reports describe different experiments")
     names = sorted(set(analytic.values) & set(grid.values))
     if not names:

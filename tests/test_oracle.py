@@ -306,6 +306,21 @@ def test_compare_rejects_mismatched_experiments(preset):
     _, b_grid = experiment_reports(exp_b, "D2")
     with pytest.raises(ValueError, match="different experiments"):
         compare(a_report, b_grid)
+    d1_report, _ = experiment_reports(exp_a, "D1")
+    _, d2_grid = experiment_reports(exp_a, "D2")
+    with pytest.raises(ValueError, match="different experiments"):
+        compare(d1_report, d2_grid)
+
+
+def test_reports_match_by_experiment_whatever_the_component_names(preset):
+    # ComponentSpec equality leaves names out, so a renamed splitter gives an equal layout
+    first = preset.stages[0]
+    bs1 = replace(first.components[0], name="split")
+    renamed = replace(preset, stages=(replace(first, components=(bs1,)),) + preset.stages[1:])
+    assert renamed == preset and first.components[0].name == "BS1"
+    analytic, _ = experiment_reports(attach_meter(new_experiment(preset), "B", T1, 0.3, 1.0), "D2")
+    _, grid = experiment_reports(attach_meter(new_experiment(renamed), "B", T1, 0.3, 1.0), "D2")
+    assert compare(analytic, grid).all_pass
 
 
 def test_compare_tolerance(preset):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from layouts import random_layout
 from scipy import stats
+from scipy.special import ndtr
 
 import tsvfsim
 from tsvfsim.meter import (
@@ -170,6 +171,35 @@ def test_zero_coupling_readings_are_exactly_gaussian():
     p = sample_readings(mix, ReadoutPlan(("p",), 20000, 12)).readings[:, 0]
     assert stats.kstest(x, "norm", args=(0.0, sigma)).pvalue > 1e-3
     assert stats.kstest(p, "norm", args=(0.0, 0.5 / sigma)).pvalue > 1e-3
+
+
+def x_marginal_cdf(mixture, j):
+    """Exact cdf of meter j's x reading, whatever the other meters read:
+    F(v) = sum_{c,d} Re(A_c conj(A_d) prod_i O_i(c, d)) Phi((v - (s_cj + s_dj) / 2) / sigma_j) / P
+    over term pairs, where O_i(c, d) = exp(-(s_ci - s_di)^2 / (8 sigma_i^2)) is the overlap
+    of meter i's two packets, j included.  Pairs with one centre are summed first."""
+    shifts, amps = mixture.entries()
+    sigmas = np.array([m.sigma for m in mixture.meters])
+    gaps = (shifts[:, None, :] - shifts[None, :, :]) / sigmas
+    weights = (np.outer(amps, amps.conj()) * np.exp(-np.square(gaps).sum(axis=2) / 8)).real
+    centres, which = np.unique(0.5 * np.add.outer(shifts[:, j], shifts[:, j]),
+                               return_inverse=True)
+    mass = np.bincount(which.ravel(), weights.ravel()) / mixture.postselection_probability
+    return lambda v: ndtr((np.asarray(v)[:, None] - centres) / sigmas[j]) @ mass
+
+
+def test_x_readings_follow_their_exact_marginal_density(mixture):
+    # the preset's x columns at the montecarlo seed, and every meter of the
+    # dense mixture; readings of the same terms without their interference
+    # cross terms fail by hundreds of orders of magnitude
+    cases = [(mixture, plan) for plan in readout_plans(200_000, 1) if "x" in plan.quadratures]
+    dense = dense_mixture()
+    cases.append((dense, ReadoutPlan(("x",) * len(dense.meters), 8192, 1)))
+    for mix, plan in cases:
+        readings = sample_readings(mix, plan).readings
+        for j in np.flatnonzero(np.array(plan.quadratures) == "x"):
+            pvalue = stats.kstest(readings[:, j], x_marginal_cdf(mix, j)).pvalue
+            assert pvalue > 1e-3, (plan.quadratures, j, pvalue)
 
 
 def test_interference_density_moments(mixture):
@@ -395,7 +425,7 @@ def test_block_past_its_budget_raises(monkeypatch, mixture):
     monkeypatch.setattr(sampling, "CANDIDATE_BUDGET", 1 << 17)
     density = sampling._Density(mixture, ("x", "x"))
     with pytest.raises(SamplingBudgetExceeded, match="predicted acceptance"):
-        density.sample_block(3, 0, 10 ** 6)
+        density.sample_block(3, 0, np.empty((10 ** 6, 2)))
 
 
 def test_budget_leaves_room_for_the_preset(mixture):
