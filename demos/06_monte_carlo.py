@@ -33,7 +33,7 @@ def batches():
     for k, quads in enumerate((("x", "x"), ("p", "p"), ("x", "p"), ("p", "x"))):
         batch = sample_readings(mixture, ReadoutPlan(quads, n, seed + k))
         print(f"combo {quads[0]}{quads[1]}: {n} readings, "
-              f"{batch.acceptance_rate:.2f} readings kept per candidate drawn")
+              f"{batch.acceptance_rate:.2f} block rows filled per candidate drawn")
         yield batch
         del batch
 

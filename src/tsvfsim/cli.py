@@ -222,10 +222,9 @@ def cmd_weak_values(layout, port):
     columns = ("kind", "arm", "slice", "re", "im", "pass")
     sweep = TwoStateSweep.build(layout, port)
     rows = []
-    for k in range(layout.n_slices):
+    for k, arms in enumerate(layout.slices):
         total = 0.0 + 0.0j
-        for arm in layout.slices[k]:
-            value = sweep.weak_value(ArmProjector(arm, k)).value
+        for arm, value in zip(arms, sweep.weak_values(k)):
             total += value
             rows.append({"kind": "value", "arm": arm, "slice": k,
                          "re": value.real, "im": value.imag})
@@ -420,7 +419,7 @@ def cmd_oracle(layout, port, meters: list[MeterSpec]):
 
 
 def _plain(value):
-    """Strip numpy scalar wrappers so CSV and JSON render builtins only; JSON has no
+    """Strip numpy scalar wrappers so JSON renders builtins only; JSON has no
     number for a non-finite float, so it becomes its CSV text ('inf', '-inf', 'nan')."""
     if isinstance(value, float):
         return float(value) if math.isfinite(value) else repr(float(value))
@@ -428,9 +427,10 @@ def _plain(value):
 
 
 def _cell(value) -> str:
+    """One CSV field: a float (numpy's too) as its repr, a bool as true/false, None empty."""
     if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
+        return repr(float(value))
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     return "" if value is None else str(value)
 
@@ -440,7 +440,7 @@ def render_csv(columns, rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
+        writer.writerow([_cell(row.get(c)) for c in columns])
     return buf.getvalue()
 
 
@@ -542,13 +542,12 @@ def main(argv=None) -> int:
             SamplingBudgetExceeded, GridTooSmall, GridTooLarge, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    # every row gets every column; a cell its command left unfilled is None
-    rows = [{c: _plain(row.get(c)) for c in columns} for row in rows]
-    checks = [row["pass"] for row in rows if row["pass"] is not None]
-    all_pass = all(checks)
+    all_pass = all(row["pass"] for row in rows if row.get("pass") is not None)
     if args.fmt == "csv":
         text = render_csv(columns, rows)
     else:
+        # every row gets every column; a cell its command left unfilled is None
+        rows = [{c: _plain(row.get(c)) for c in columns} for row in rows]
         text = render_json(args.command, columns, rows, meta, all_pass)
     if args.out:
         try:

@@ -9,12 +9,14 @@ that amplitude.
 
 :class:`TwoStateSweep` holds both vectors at every slice for one (layout,
 port) pair, from one forward and one backward pass, O(slices * arms²), and
-checks the slice-independence once.  A weak value then costs O(1); a
-projector chain keeps one arm's amplitude at each projector and takes it
-on by one stage-matrix product per stage it spans.  Stage matrices and arm
-positions are built once per layout object (see
-:func:`~tsvfsim.network.stage_unitary`).  The module-level functions build
-a sweep per call; callers reading many values build one and reuse it.
+checks the slice-independence once.  A weak value then costs O(1); a chain
+of n projectors on consecutive slices is a product of n + 1 scalars,
+``bra[a_n] * U[a_n, a_n-1] * ... * ket[a_1]``, read from the stage matrices;
+across a gap of slices the projected state is carried on by one stage-matrix
+product per stage.  Stage matrices and arm positions are built once per
+layout object (see :func:`~tsvfsim.network.stage_unitary`).  The module-level
+functions build a sweep per call; callers reading many values build one and
+reuse it.
 """
 
 from __future__ import annotations
@@ -171,24 +173,33 @@ class TwoStateSweep:
         amp = self._checked_amplitude()
         k = projector.slice_index
         idx = self.layout.arm_index(k, projector.arm)
-        numerator = complex(self.bras[k][idx] * self.kets[k][idx])
+        numerator = self.bras[k].item(idx) * self.kets[k].item(idx)
         return WeakValueResult(numerator / amp, numerator, amp)
+
+    def weak_values(self, k: int) -> list[complex]:
+        """Weak values of the projectors onto each arm of slice ``k``, in its order, in
+        Python complex scalars as in :meth:`weak_value` (numpy's array product rounds otherwise)."""
+        amp = self._checked_amplitude()
+        self.layout.arms_at(k)  # the slice-range check
+        return [bra * ket / amp for bra, ket in zip(self.bras[k].tolist(), self.kets[k].tolist())]
 
     def sequential_weak_value(self, chain: ProjectorChain) -> WeakValueResult:
         """See :func:`sequential_weak_value`."""
         amp = self._checked_amplitude()
-        current = None
-        for proj in chain.projectors:
-            keep = self.layout.arm_index(proj.slice_index, proj.arm)
-            if current is None:
-                current, vec = proj.slice_index, self.kets[proj.slice_index]
-            for k in range(current, proj.slice_index):
-                vec = stage_unitary(self.layout, k) @ vec
-            current = proj.slice_index
-            mask = np.zeros(len(vec), dtype=complex)
-            mask[keep] = vec[keep]
-            vec = mask
-        numerator = complex(self.bras[current] @ vec)
+        (k, a), *rest = [(p.slice_index, self.layout.arm_index(p.slice_index, p.arm))
+                         for p in chain.projectors]
+        value = self.kets[k][a]
+        for l, b in rest:  # right to left, the order in which the ket propagates
+            if l == k + 1:
+                value = stage_unitary(self.layout, k)[b, a] * value
+            else:  # across a gap, carry the projected state on stage by stage
+                vec = np.zeros(len(self.kets[k]), dtype=complex)
+                vec[a] = value
+                for j in range(k, l):
+                    vec = stage_unitary(self.layout, j) @ vec
+                value = vec[b]
+            k, a = l, b
+        numerator = complex(self.bras[k][a] * value)
         return WeakValueResult(numerator / amp, numerator, amp)
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -14,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsvfsim import cli, meter
+from test_properties import dense_chain_value
+
+from tsvfsim import cli, meter, tsvf
 from tsvfsim.cli import (
     main,
     build_parser,
@@ -226,6 +229,34 @@ def test_json_writes_non_finite_cells_as_their_csv_text(capsys):
     rows = json.loads(out, parse_constant=refuse)["rows"]
     assert len(rows) == 12
     assert all((r["stderr"], r["z"], r["pass"]) == ("inf", "inf", False) for r in rows)
+
+
+NUMPY_ROWS = [
+    {"kind": "value", "name": "a,b", "x": np.float64(0.1), "y": 3, "pass": np.bool_(True)},
+    {"kind": "value", "name": "inf", "x": np.float64(np.inf), "y": -math.inf, "pass": True},
+    {"kind": "check", "name": "nan", "x": math.nan, "y": None},
+    {"kind": "value", "name": "zero", "x": np.float64(-0.0), "y": 1e-300, "pass": None},
+]
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_csv_cells_of_numpy_scalars_are_pinned(failing, monkeypatch, capsys):
+    rows = [dict(row) for row in NUMPY_ROWS]
+    rows[0]["pass"] = np.bool_(not failing)
+    monkeypatch.setattr(cli, "run", lambda args: (("kind", "name", "x", "y", "pass"), rows, {}))
+    code, out, err = run_cli("weak-values", capsys=capsys)
+    assert (code, err) == (int(failing), "")
+    assert out == (
+        "kind,name,x,y,pass\n"
+        f'value,"a,b",0.1,3,{str(not failing).lower()}\n'
+        "value,inf,inf,-inf,true\n"
+        "check,nan,nan,,\n"
+        "value,zero,-0.0,1e-300,\n"
+    )
+
+    code, out, err = run_cli("weak-values", "--format", "json", capsys=capsys)
+    assert (code, err) == (int(failing), "")
+    assert json.loads(out)["all_pass"] is not failing
 
 
 def test_montecarlo_same_seed_identical_bytes(capsys):
@@ -446,6 +477,45 @@ def test_tables_build_each_stage_matrix_once(monkeypatch):
         ia, ib = layout.arm_index(1, a), layout.arm_index(2, b)
         want = bras[2][ib] * dense[1][ib, ia] * kets[1][ia] / amp
         assert abs(complex(row["re"], row["im"]) - want) < 1e-12
+
+
+def test_sequential_chains_at_scale_match_a_dense_chase(monkeypatch):
+    layout, dense = _layered(28, 31, 11)
+    ket = np.eye(28, dtype=complex)[0]
+    for u in dense:
+        ket = u @ ket
+    port = f"Pa{int(np.argmax(np.abs(ket)))}"
+    arms = layout.slices[0]
+    # arms[1] leaves stage 6 in a pair that does not hold `apart`
+    apart = next(arm for i, arm in enumerate(arms) if dense[6][i, 1] == 0)
+    chains = ([((a, 3), (b, 4)) for a in arms[:4] for b in arms[:4]]
+              + [((a, 7), (b, 9)) for a in arms[:3] for b in arms[:3]]
+              + [((a, 10), (b, 15)) for a in arms[:3] for b in arms[:3]]
+              + [((a, 2), (b, 4), (c, 9)) for a in arms[:2] for b in arms[:2] for c in arms[:2]]
+              + [((arms[1], 6), (apart, 7))])
+    _, rows, _ = cmd_sequential(layout, port, chains)
+    values = [row for row in rows if row["kind"] == "value"]
+    assert len(values) == len(chains)
+    for row, steps in zip(values, chains):
+        want = dense_chain_value(layout, port, steps)
+        assert abs(complex(row["re"], row["im"]) - want) < 1e-12, steps
+    assert complex(values[-1]["re"], values[-1]["im"]) == 0
+
+    calls = []
+    stage_unitary = tsvf.stage_unitary
+
+    def counting(layout, k):
+        calls.append(k)
+        return stage_unitary(layout, k)
+
+    monkeypatch.setattr(tsvf, "stage_unitary", counting)
+    per_sweep = 2 * len(layout.stages)
+    for k, l in ((4, 5), (4, 9)):  # one stage matrix read per stage a step spans
+        chains = [((a, k), (b, l)) for a in arms[:2] for b in arms[:25]]
+        for _ in range(2):  # nothing carries over from one sweep to the next
+            calls.clear()
+            cmd_sequential(layout, port, chains)
+            assert len(calls) == per_sweep + len(chains) * (l - k)
 
 
 DARK_MZI = """

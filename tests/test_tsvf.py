@@ -172,12 +172,12 @@ def test_weak_value_result_fields(preset):
 
 def test_weak_values_sum_to_one_on_every_slice(preset):
     for port in preset.ports:
+        sweep = TwoStateSweep.build(preset, port)
         for k in range(preset.n_slices):
-            total = sum(
-                weak_value(preset, port, ArmProjector(a, k)).value
-                for a in preset.slices[k]
-            )
-            assert abs(total - 1.0) < 1e-12, (port, k)
+            values = [weak_value(preset, port, ArmProjector(a, k)).value
+                      for a in preset.slices[k]]
+            assert abs(sum(values) - 1.0) < 1e-12, (port, k)
+            assert sweep.weak_values(k) == values  # the same arithmetic, bit for bit
 
 
 def test_weak_value_matches_hand_ratio(preset):
@@ -266,6 +266,9 @@ def test_projector_validation(preset):
         weak_value(preset, "D2", ArmProjector("B", 99))
     with pytest.raises(ValueError, match="port"):
         weak_value(preset, "D9", ArmProjector("B", T1))
+    for k in (-1, preset.n_slices):  # a negative slice does not wrap
+        with pytest.raises(ValueError, match="invalid slice index"):
+            TwoStateSweep.build(preset, "D2").weak_values(k)
 
 
 DARK_PORT_MZI = """
@@ -291,6 +294,8 @@ def test_degenerate_postselection_raises():
         weak_value(layout, "PD", ArmProjector("A", 1))
     with pytest.raises(DegeneratePostselection):
         sequential_weak_value(layout, "PD", ProjectorChain.of(("A", 1)))
+    with pytest.raises(DegeneratePostselection):
+        TwoStateSweep.build(layout, "PD").weak_values(1)
     # the bright port is fine
     assert abs(weak_value(layout, "PB", ArmProjector("A", 1)).value - 0.5) < 1e-12
 
