@@ -276,30 +276,30 @@ def _chain_label(steps) -> str:
 
 
 def cmd_disturbance(layout, port, meter: MeterSpec, probe: tuple[str, int],
-                    sweep: tuple[float, ...], canonical: bool):
+                    sweep: tuple[float, ...]):
     columns = ("kind", "g", "p_probe", "p_port", "closed_form", "deviation", "pass")
     probe_arm, probe_slice = probe
     with _input(f"probe {probe_arm}@{probe_slice}"):
         layout.arm_index(probe_slice, probe_arm)
     base = build_experiment(layout, [replace(meter, strength=0.0)])
     p_unperturbed = arm_probability(base, probe_arm, probe_slice)
+    # P(g) = |m|^2 + |c|^2 + 2 O(g) Re(conj(m) c); c crossed the meter, m missed it
+    missed, crossed = TwoStateSweep.build(layout, port).split_amplitudes(
+        meter.arm, meter.slice_index, probe_arm, probe_slice)
     rows = []
-    deviations = []
     for g in sweep:
         exp = build_experiment(layout, [replace(meter, strength=g)])
         p_probe = arm_probability(exp, probe_arm, probe_slice)
         p_port = arm_probability(exp, layout.port_arm(port), layout.final_slice)
-        row = {"kind": "value", "g": g, "p_probe": p_probe, "p_port": p_port}
-        if canonical:
-            closed = 0.25 * (1.0 - gaussian_overlap(0.0, g, meter.sigma))
-            row["closed_form"] = closed
-            row["deviation"] = abs(p_probe - closed)
-            row["pass"] = row["deviation"] < DISTURBANCE_TOL
-        rows.append(row)
-        deviations.append(abs(p_probe - p_unperturbed))
+        closed = (abs(missed) ** 2 + abs(crossed) ** 2 + 2.0
+                  * gaussian_overlap(0.0, g, meter.sigma) * (missed.conjugate() * crossed).real)
+        rows.append({"kind": "value", "g": g, "p_probe": p_probe, "p_port": p_port,
+                     "closed_form": closed, "deviation": abs(p_probe - closed),
+                     "pass": abs(p_probe - closed) < DISTURBANCE_TOL})
     # a single coupling scales every downstream coherence by the same
     # pointer overlap, so the shift away from the g=0 value must grow
     # with the coupling no matter which arm is probed
+    deviations = [abs(r["p_probe"] - p_unperturbed) for r in sorted(rows, key=lambda r: r["g"])]
     grows = all(b - a > -1e-12 for a, b in zip(deviations, deviations[1:]))
     rows.append({"kind": "check", "g": "monotone", "pass": grows})
     return columns, rows, {"port": port, "meter": meter.label(),
@@ -524,9 +524,7 @@ def run(args) -> tuple[tuple, list, dict]:
             (probe,) = parse_chain_spec(args.probe)
         except (CliError, ValueError):
             raise CliError(f"bad probe {args.probe!r} (want arm@slice)") from None
-        canonical = (args.network == "nested-mzi"
-                     and (meter.arm, meter.slice_index, probe) == ("B", 2, ("E", 3)))
-        return cmd_disturbance(layout, port, meter, probe, sweep, canonical)
+        return cmd_disturbance(layout, port, meter, probe, sweep)
     if args.command == "meter-sweep":
         return cmd_meter_sweep(layout, port, meters, parse_sweep_spec(args.sweep))
     if args.command == "montecarlo":

@@ -294,8 +294,8 @@ def sample_readings(mixture: PointerMixture, plan: ReadoutPlan) -> SampleBatch:
     Returns
     -------
     SampleBatch
-        Readings of shape ``(plan.n, number of meters)``, the physical
-        postselection pass rate, and the readings kept per candidate drawn.
+        Readings of shape ``(plan.n, number of meters)``, their plan and meters,
+        and ``acceptance_rate``: block rows filled per candidate drawn.
         Raises :class:`SamplingBudgetExceeded` when the envelope has more
         than ``CANDIDATE_BUDGET`` term pairs, or a block would need more
         candidates, predicted before any draw or counted while drawing.

@@ -13,10 +13,11 @@ checks the slice-independence once.  A weak value then costs O(1); a chain
 of n projectors on consecutive slices is a product of n + 1 scalars,
 ``bra[a_n] * U[a_n, a_n-1] * ... * ket[a_1]``, read from the stage matrices;
 across a gap of slices the projected state is carried on by one stage-matrix
-product per stage.  Stage matrices and arm positions are built once per
-layout object (see :func:`~tsvfsim.network.stage_unitary`).  The module-level
-functions build a sweep per call; callers reading many values build one and
-reuse it.
+product per stage.  The same step splits a forward amplitude into the parts
+that crossed and missed an earlier arm, the two terms of a meter's disturbance.
+Stage matrices and arm positions are built once per layout object (see
+:func:`~tsvfsim.network.stage_unitary`).  The module-level functions build a
+sweep per call; callers reading many values build one and reuse it.
 """
 
 from __future__ import annotations
@@ -190,17 +191,28 @@ class TwoStateSweep:
                          for p in chain.projectors]
         value = self.kets[k][a]
         for l, b in rest:  # right to left, the order in which the ket propagates
-            if l == k + 1:
-                value = stage_unitary(self.layout, k)[b, a] * value
-            else:  # across a gap, carry the projected state on stage by stage
-                vec = np.zeros(len(self.kets[k]), dtype=complex)
-                vec[a] = value
-                for j in range(k, l):
-                    vec = stage_unitary(self.layout, j) @ vec
-                value = vec[b]
+            value = self._step(value, k, a, l, b)
             k, a = l, b
         numerator = complex(self.bras[k][a] * value)
         return WeakValueResult(numerator / amp, numerator, amp)
+
+    def split_amplitudes(self, arm: str, k: int, probe_arm: str, l: int) -> tuple[complex, complex]:
+        """Forward amplitude on ``probe_arm`` at slice ``l`` as ``(missed, crossed)``: the
+        parts that missed and crossed ``arm`` at slice ``k`` (none has crossed if ``l < k``)."""
+        b = self.layout.arm_index(l, probe_arm)
+        a = self.layout.arm_index(k, arm)
+        crossed = complex(self._step(self.kets[k][a], k, a, l, b)) if l >= k else 0j
+        return complex(self.kets[l][b]) - crossed, crossed
+
+    def _step(self, value: complex, k: int, a: int, l: int, b: int) -> complex:
+        """Amplitude at arm index ``b`` of slice ``l >= k`` of ``value`` at ``a`` of slice ``k``."""
+        if l == k + 1:
+            return stage_unitary(self.layout, k)[b, a] * value
+        vec = np.zeros(len(self.kets[k]), dtype=complex)  # carry it on stage by stage
+        vec[a] = value
+        for j in range(k, l):
+            vec = stage_unitary(self.layout, j) @ vec
+        return vec[b]
 
 
 def postselection_amplitude(layout: NetworkLayout, port: str) -> complex:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from layouts import random_layout
 from test_properties import dense_chain_value
 
 from tsvfsim import cli, meter, tsvf
@@ -28,7 +29,14 @@ from tsvfsim.cli import (
     parse_sweep_spec,
     CliError,
 )
-from tsvfsim.network import ComponentSpec, NetworkLayout, Stage, beamsplitter
+from tsvfsim.network import (
+    ComponentSpec,
+    NetworkLayout,
+    Stage,
+    beamsplitter,
+    nested_mzi_preset,
+    serialize_network,
+)
 
 
 def run_cli(*argv, capsys=None):
@@ -161,14 +169,55 @@ def test_disturbance_closed_form_and_monotonicity(capsys):
     assert mono and mono[0]["pass"] == "true"
 
 
-def test_disturbance_off_preset_has_no_closed_form(capsys, tmp_path):
+def test_disturbance_off_preset_fills_the_closed_form(capsys):
     code, out, _ = run_cli(
         "disturbance", "--probe", "F@3", "--sweep", "0.1,0.2", capsys=capsys
     )
     assert code == 0
-    rows = rows_of(out)
-    values = [r for r in rows if r["kind"] == "value"]
-    assert all(r["closed_form"] == "" and r["pass"] == "" for r in values)
+    values = [r for r in rows_of(out) if r["kind"] == "value"]
+    assert len(values) == 2
+    for r in values:
+        assert float(r["closed_form"]) == pytest.approx(float(r["p_probe"]), abs=1e-10)
+        assert float(r["deviation"]) < 1e-10 and r["pass"] == "true"
+
+
+def test_disturbance_law_holds_on_random_layouts():
+    # every meter position, probes before, at, just after and at the end of
+    # the meter's run, at a weak and a strong coupling
+    rows = 0
+    for seed in range(20):
+        layout = random_layout(seed, 4, 4)
+        last = layout.final_slice
+        for k, arms in enumerate(layout.slices):
+            for arm in arms:
+                for l in sorted({k - 1, k, k + 1, last} & set(range(last + 1))):
+                    for probe_arm in layout.slices[l]:
+                        for g, sigma in ((0.3, 1.0), (2.0, 0.7)):
+                            _, table, _ = cli.cmd_disturbance(
+                                layout, layout.ports[0], cli.MeterSpec(arm, k, 0.0, sigma),
+                                (probe_arm, l), (g,))
+                            assert all(r["pass"] for r in table), (seed, arm, k, probe_arm, l, g)
+                            rows += 1
+    assert rows > 4000
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_serialized_preset_gives_the_preset_disturbance_bytes(fmt, tmp_path, capsys):
+    net = tmp_path / "preset.net"
+    net.write_text(serialize_network(nested_mzi_preset()))
+    by_name = run_cli("disturbance", "--format", fmt, capsys=capsys)
+    from_file = run_cli("disturbance", "--network", str(net), "--format", fmt, capsys=capsys)
+    assert by_name[0] == 0
+    assert from_file == by_name
+
+
+def test_disturbance_monotone_check_follows_the_coupling_not_the_sweep_order(capsys):
+    for spec in ("0.4,0.2,0.1", "0.2,0.1,0.2"):
+        code, out, _ = run_cli("disturbance", "--sweep", spec, capsys=capsys)
+        assert code == 0
+        assert rows_of(out)[-1] == {"kind": "check", "g": "monotone", "p_probe": "",
+                                    "p_port": "", "closed_form": "", "deviation": "",
+                                    "pass": "true"}
 
 
 def test_meter_sweep_slopes(capsys):

@@ -247,6 +247,20 @@ def test_repeated_projector_collapses(preset):
     assert abs(value - 0.5) < 1e-12
 
 
+def test_split_amplitudes_on_the_preset(preset):
+    sweep = TwoStateSweep.build(preset, "D2")
+    # E is dark without the meter: what crossed B cancels what missed it
+    missed, crossed = sweep.split_amplitudes("B", T1, "E", T2)
+    assert missed == -crossed and abs(crossed) ** 2 == pytest.approx(0.125, abs=1e-15)
+    # at the meter's own slice its arm is all crossed, the others all missed
+    assert sweep.split_amplitudes("B", T1, "B", T1) == (0j, sweep.kets[T1][1])
+    assert sweep.split_amplitudes("B", T1, "C", T1) == (sweep.kets[T1][2], 0j)
+    # before the meter nothing has crossed it
+    assert sweep.split_amplitudes("E", T2, "B", T1) == (sweep.kets[T1][1], 0j)
+    with pytest.raises(ValueError):
+        sweep.split_amplitudes("Z", T1, "E", T2)
+
+
 def test_chain_rejects_non_increasing_slices():
     with pytest.raises(ValueError, match="orthogonal"):
         ProjectorChain.of(("B", 2), ("C", 2))
