@@ -17,7 +17,7 @@ from tsvfsim.sampling import (
     calibrate_cost_model,
     estimate_from_samples,
     required_samples,
-    sample_readings,
+    sample_moments,
 )
 
 g, sigma, n, seed = 0.3, 1.0, 100_000, 42
@@ -28,16 +28,13 @@ mixture = postselect(run_coupled(exp), "D2")
 
 
 def batches():
-    """One combination's readings at a time; the estimator folds each batch
-    into its jackknife sums and lets it go before the next one is drawn.
-    ``sample_moments`` would fold each block as it is drawn and hold no
-    batch at all; this demo keeps the batches to show what was read."""
+    """One combination at a time, each block folded into its jackknife sums
+    as it is drawn, so no batch holds its readings."""
     for k, quads in enumerate((("x", "x"), ("p", "p"), ("x", "p"), ("p", "x"))):
-        batch = sample_readings(mixture, ReadoutPlan(quads, n, seed + k))
+        batch = sample_moments(mixture, ReadoutPlan(quads, n, seed + k))
         print(f"combo {quads[0]}{quads[1]}: {n} readings, "
               f"{batch.acceptance_rate:.2f} block rows filled per candidate drawn")
         yield batch
-        del batch
 
 
 est = estimate_from_samples(batches())

@@ -15,9 +15,9 @@ all-p, the envelope is one number and candidates need no pair lookup.
 Reading block ``b`` (4096 readings) is drawn from a Philox counter-based
 generator keyed by ``(seed, b)``, so any partitioning of the same total
 sample count over workers reproduces the same readings bit for bit.
-:func:`sample_readings` copies each block into its batch's rows;
-:func:`sample_moments` folds it into jackknife sums as it is drawn and
-holds no array that grows with the number of readings.
+Each block is folded into its plan's jackknife sums as it is drawn;
+:func:`sample_readings` also copies it into the batch's ``readings``, and
+:func:`sample_moments` holds no array that grows with the number of readings.
 
 Moment estimates carry jackknife standard errors over 50 blocks, and the
 four quadrature pairs of a two-meter run (``meter.QUADRATURE_PAIRS``, one
@@ -47,7 +47,6 @@ __all__ = [
     "ReadoutPlan",
     "SampleBatch",
     "SampleEstimates",
-    "SampleMoments",
     "SamplingBudgetExceeded",
     "calibrate_cost_model",
     "estimate_from_samples",
@@ -98,21 +97,31 @@ def readout_plans(n: int, seed: int) -> list[ReadoutPlan]:
     return [ReadoutPlan(pair, n, (seed + k) % 2 ** 64) for k, pair in enumerate(QUADRATURE_PAIRS)]
 
 
+@dataclass(frozen=True)
+class MomentEstimate:
+    """A sampled mean; ``stderr`` is inf when fewer than two readings back it."""
+
+    value: float
+    stderr: float
+
+
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Readings (n rows, one column per meter) plus provenance.
-
-    Each block of ``readings`` is drawn into one reused block array and
-    copied into its rows.  ``acceptance_rate`` is block rows filled per candidate
-    drawn, fixed by the mixture, not by the seed: a block draws one chunk of
-    ``int(1.05 * BLOCK_SIZE / rate)`` candidates at the envelope's acceptance
-    ``rate`` and almost never a second, so the preset's all-x readout reads
-    4096 / 10714 = 0.3823035280940825 at seeds 1, 2, 77 and 12345, n <= 200 000."""
+    """One plan's sampled readout: ``columns`` holds each meter's mean and,
+    for two meters, the mean of their product last, each with its jackknife
+    standard error; ``readings`` (n rows, one column per meter) is kept by
+    :func:`sample_readings` alone, else None.  ``acceptance_rate`` is block
+    rows filled per candidate drawn, fixed by the mixture, not by the seed: a
+    block draws one chunk of ``int(1.05 * BLOCK_SIZE / rate)`` candidates at
+    the envelope's acceptance ``rate`` and almost never a second, so the
+    preset's all-x readout reads 4096 / 10714 = 0.3823035280940825 at seeds
+    1, 2, 77 and 12345, n <= 200 000."""
 
     plan: ReadoutPlan
     meters: tuple[MeterAttachment, ...]
-    readings: np.ndarray
+    columns: tuple[MomentEstimate, ...]
     acceptance_rate: float
+    readings: np.ndarray | None = None
 
 
 class _Density:
@@ -337,83 +346,6 @@ class _Density:
         return np.square(f, out=f), env
 
 
-def _draw_blocks(mixture: PointerMixture, plan: ReadoutPlan):
-    """The plan's readings, one block at a time: a generator of each block's
-    rows, cut to the plan's n, and the candidates the block drew.
-
-    Every block, a partial final one too, draws a full block's rows into one
-    (``BLOCK_SIZE``, m) array that the next block overwrites, so a short
-    batch reproduces the prefix of a longer one.  The checks run before the
-    generator is returned."""
-    m = len(mixture.meters)
-    if len(plan.quadratures) != m:
-        raise ValueError(f"plan lists {len(plan.quadratures)} quadratures for {m} meters")
-    density = _Density(mixture, plan.quadratures)
-    if BLOCK_SIZE / density.rate > CANDIDATE_BUDGET:
-        raise SamplingBudgetExceeded(
-            f"predicted acceptance {density.rate:.3e} needs more than "
-            f"{CANDIDATE_BUDGET} candidates per block of {BLOCK_SIZE} readings")
-
-    def blocks():
-        rows = np.empty((BLOCK_SIZE, m))
-        for block, lo in enumerate(range(0, plan.n, BLOCK_SIZE)):
-            yield rows[:plan.n - lo], density.sample_block(plan.seed, block, rows)
-
-    return blocks()
-
-
-def _acceptance_rate(n: int, candidates: int) -> float:
-    """Block rows filled per candidate drawn: every block fills all its rows."""
-    return math.ceil(n / BLOCK_SIZE) * BLOCK_SIZE / candidates
-
-
-def sample_readings(mixture: PointerMixture, plan: ReadoutPlan) -> SampleBatch:
-    """Draw quadrature readings from the post-selected pointer density.
-
-    Parameters
-    ----------
-    mixture : PointerMixture
-        Post-selected pointer state (see :func:`tsvfsim.meter.postselect`).
-    plan : ReadoutPlan
-        One quadrature per meter (in meter order), the number of readings
-        and the 64-bit seed.
-
-    Returns
-    -------
-    SampleBatch
-        Readings of shape ``(plan.n, number of meters)``, their plan and meters,
-        and ``acceptance_rate``: block rows filled per candidate drawn.
-        Raises :class:`SamplingBudgetExceeded` when the envelope has more
-        than ``CANDIDATE_BUDGET`` term pairs, or a block would need more
-        candidates, predicted before any draw or counted while drawing.
-
-    Notes
-    -----
-    Reading rows ``[b * 4096, (b+1) * 4096)`` depend only on ``(seed, b)``,
-    so the batch content is invariant under any block partitioning.
-    :func:`sample_moments` draws the same readings and keeps only their sums.
-    """
-    blocks = _draw_blocks(mixture, plan)
-    readings = np.empty((plan.n, len(mixture.meters)))
-    candidates = 0
-    for lo, (rows, drawn) in zip(range(0, plan.n, BLOCK_SIZE), blocks):
-        readings[lo:lo + len(rows)] = rows
-        candidates += drawn
-    return SampleBatch(plan, mixture.meters, readings, _acceptance_rate(plan.n, candidates))
-
-
-# ----------------------------------------------------------------------
-# Estimation
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    """A sampled mean; ``stderr`` is inf when fewer than two readings back it."""
-
-    value: float
-    stderr: float
-
-
 class _JackknifeSums:
     """Column sums over the delete-one-block jackknife's blocks, folded in as
     the rows arrive: ``min(JACKKNIFE_BLOCKS, n)`` contiguous blocks with edges
@@ -451,40 +383,73 @@ class _JackknifeSums:
         return [MomentEstimate(float(mean), float(err)) for mean, err in zip(means, se)]
 
 
-@dataclass(frozen=True, eq=False)
-class SampleMoments:
-    """One plan's readings reduced to their moments: ``columns`` holds each
-    meter's mean and, for two meters, the mean of their product last, each
-    with its jackknife standard error.  ``acceptance_rate`` is a
-    :class:`SampleBatch`'s."""
-
-    plan: ReadoutPlan
-    meters: tuple[MeterAttachment, ...]
-    columns: tuple[MomentEstimate, ...]
-    acceptance_rate: float
-
-    @classmethod
-    def of(cls, batch: SampleBatch) -> SampleMoments:
-        """A batch's moments, folded in its sampler blocks: the same numbers
-        :func:`sample_moments` gives for the batch's plan."""
-        sums = _JackknifeSums(*batch.readings.shape)
-        for lo in range(0, len(batch.readings), BLOCK_SIZE):
-            sums.add(batch.readings[lo:lo + BLOCK_SIZE])
-        return cls(batch.plan, batch.meters, tuple(sums.estimates()), batch.acceptance_rate)
-
-
-def sample_moments(mixture: PointerMixture, plan: ReadoutPlan) -> SampleMoments:
-    """The moments of the readings :func:`sample_readings` would draw, each
-    block folded into jackknife sums as it is drawn, so no array grows with
-    ``plan.n``.  Raises as :func:`sample_readings` does."""
-    blocks = _draw_blocks(mixture, plan)
-    sums = _JackknifeSums(plan.n, len(mixture.meters))
+def _sample(mixture: PointerMixture, plan: ReadoutPlan, keep_readings: bool) -> SampleBatch:
+    """The plan's batch, one block at a time: every block, a partial final
+    one too, draws a full block's rows into one (``BLOCK_SIZE``, m) array
+    that the next block overwrites, so a short batch reproduces the prefix of
+    a longer one.  Each block is folded into jackknife sums, and copied into
+    ``readings`` when ``keep_readings``.  The checks run before any array
+    is allocated."""
+    m = len(mixture.meters)
+    if len(plan.quadratures) != m:
+        raise ValueError(f"plan lists {len(plan.quadratures)} quadratures for {m} meters")
+    density = _Density(mixture, plan.quadratures)
+    if BLOCK_SIZE / density.rate > CANDIDATE_BUDGET:
+        raise SamplingBudgetExceeded(
+            f"predicted acceptance {density.rate:.3e} needs more than "
+            f"{CANDIDATE_BUDGET} candidates per block of {BLOCK_SIZE} readings")
+    sums = _JackknifeSums(plan.n, m)
+    readings = np.empty((plan.n, m)) if keep_readings else None
+    block_rows = np.empty((BLOCK_SIZE, m))
     candidates = 0
-    for rows, drawn in blocks:
+    for block, lo in enumerate(range(0, plan.n, BLOCK_SIZE)):
+        candidates += density.sample_block(plan.seed, block, block_rows)
+        rows = block_rows[:plan.n - lo]
         sums.add(rows)
-        candidates += drawn
-    return SampleMoments(plan, mixture.meters, tuple(sums.estimates()),
-                         _acceptance_rate(plan.n, candidates))
+        if keep_readings:
+            readings[lo:lo + len(rows)] = rows
+    rate = math.ceil(plan.n / BLOCK_SIZE) * BLOCK_SIZE / candidates  # every block is filled
+    return SampleBatch(plan, mixture.meters, tuple(sums.estimates()), rate, readings)
+
+
+def sample_readings(mixture: PointerMixture, plan: ReadoutPlan) -> SampleBatch:
+    """Draw quadrature readings from the post-selected pointer density.
+
+    Parameters
+    ----------
+    mixture : PointerMixture
+        Post-selected pointer state (see :func:`tsvfsim.meter.postselect`).
+    plan : ReadoutPlan
+        One quadrature per meter (in meter order), the number of readings
+        and the 64-bit seed.
+
+    Returns
+    -------
+    SampleBatch
+        ``readings`` of shape ``(plan.n, number of meters)``, their jackknife
+        ``columns``, their plan and meters, and ``acceptance_rate``: block
+        rows filled per candidate drawn.
+        Raises :class:`SamplingBudgetExceeded` when the envelope has more
+        than ``CANDIDATE_BUDGET`` term pairs, or a block would need more
+        candidates, predicted before any draw or counted while drawing.
+
+    Notes
+    -----
+    Reading rows ``[b * 4096, (b+1) * 4096)`` depend only on ``(seed, b)``,
+    so the batch content is invariant under any block partitioning.
+    :func:`sample_moments` draws the same readings and keeps only ``columns``.
+    """
+    return _sample(mixture, plan, keep_readings=True)
+
+
+def sample_moments(mixture: PointerMixture, plan: ReadoutPlan) -> SampleBatch:
+    """The batch :func:`sample_readings` would return, without ``readings``:
+    no array grows with ``plan.n``.  Raises as :func:`sample_readings` does."""
+    return _sample(mixture, plan, keep_readings=False)
+
+
+# ----------------------------------------------------------------------
+# Estimation
 
 
 @dataclass(frozen=True)
@@ -502,19 +467,18 @@ class SampleEstimates:
     sequential_stderr: tuple[float, float] | None = None
 
 
-def estimate_from_samples(batches: Iterable[SampleBatch | SampleMoments]) -> SampleEstimates:
-    """Turn sampled readings into moment and weak-value estimates.
+def estimate_from_samples(batches: Iterable[SampleBatch]) -> SampleEstimates:
+    """Turn sampled readout into moment and weak-value estimates.
 
-    ``batches`` may be any iterable of batches or of their
-    :class:`SampleMoments`, a generator included, and is consumed once: each
-    batch is folded into its moments as it arrives and let go before the
-    next one is asked for, so a generator of :func:`sample_moments` calls
-    holds no readings at all.  Singles come from per-column means; two-meter
-    batches contribute the product moment of their quadrature pair.  When the
-    four pairs of ``meter.QUADRATURE_PAIRS`` of one two-meter configuration
-    are present, the complex readout correlator and the sequential
-    weak-value estimate are assembled, with standard errors propagated in
-    quadrature (batches are independent).
+    ``batches`` may be any iterable of batches, a generator included, and is
+    consumed once: each batch's ``columns`` are read as it arrives and the
+    batch is let go before the next one is asked for, so a generator of
+    :func:`sample_moments` calls holds no readings at all.  Singles come from
+    per-column means; two-meter batches contribute the product moment of
+    their quadrature pair.  When the four pairs of ``meter.QUADRATURE_PAIRS``
+    of one two-meter configuration are present, the complex readout
+    correlator and the sequential weak-value estimate are assembled, with
+    standard errors propagated in quadrature (batches are independent).
     """
     singles: dict[tuple[int, str], MomentEstimate] = {}
     pairs: dict[tuple[str, str], MomentEstimate] = {}
@@ -525,14 +489,13 @@ def estimate_from_samples(batches: Iterable[SampleBatch | SampleMoments]) -> Sam
             meters = batch.meters
         elif batch.meters != meters:
             raise ValueError("batches come from different meter configurations")
-        moments = batch if isinstance(batch, SampleMoments) else SampleMoments.of(batch)
-        del batch  # else the loop variable holds it while the next one is drawn
-        quads = moments.plan.quadratures
-        rates.setdefault(quads, moments.acceptance_rate)
-        for meter, quad, moment in zip(meters, quads, moments.columns):
+        quads, columns = batch.plan.quadratures, batch.columns
+        rates.setdefault(quads, batch.acceptance_rate)
+        del batch  # else the loop variable holds its readings while the next one is drawn
+        for meter, quad, moment in zip(meters, quads, columns):
             singles.setdefault((meter.meter_id, quad), moment)
         if len(meters) == 2:
-            pairs.setdefault((quads[0], quads[1]), moments.columns[2])
+            pairs.setdefault((quads[0], quads[1]), columns[2])
     if meters is None:
         raise ValueError("no batches given")
     if len(meters) != 2 or any(c not in pairs for c in QUADRATURE_PAIRS):

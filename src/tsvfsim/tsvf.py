@@ -80,7 +80,7 @@ class ProjectorChain:
                 reduced.append(proj)
         object.__setattr__(self, "projectors", tuple(reduced))
         slices = [p.slice_index for p in self.projectors]
-        if any(b <= a for a, b in zip(slices, slices[1:])):
+        if slices != sorted(set(slices)):
             raise ValueError(
                 "projector chain slices must be strictly increasing "
                 f"(got {slices}); same-slice distinct arms are orthogonal"

@@ -41,7 +41,6 @@ from tsvfsim.sampling import (
     CostModel,
     JACKKNIFE_BLOCKS,
     ReadoutPlan,
-    SampleMoments,
     SamplingBudgetExceeded,
     calibrate_cost_model,
     estimate_from_samples,
@@ -253,9 +252,11 @@ def test_streamed_batches_estimate_bit_for_bit_as_a_list(mixture):
     listed = estimate_from_samples([sample_readings(mixture, plan) for plan in plans])
     streamed = estimate_from_samples(iter([sample_readings(mixture, plan) for plan in plans]))
     drawn = estimate_from_samples(sample_readings(mixture, plan) for plan in plans)
+    folded = estimate_from_samples(sample_moments(mixture, plan) for plan in plans)
     assert listed.sequential is not None
     assert_same_estimates(streamed, listed)
     assert_same_estimates(drawn, listed)
+    assert_same_estimates(folded, listed)
 
 
 def test_one_streamed_dense_batch_estimates_as_a_list():
@@ -323,7 +324,7 @@ def test_folded_moments_match_the_jackknife_of_the_readings(mixture, n):
         batch = sample_readings(mixture, plan)
         folded = sample_moments(mixture, plan)
         # one fold: the streamed moments are the batch's, bit for bit
-        assert repr(SampleMoments.of(batch)) == repr(folded)
+        assert repr(batch.columns) == repr(folded.columns)
         assert folded.acceptance_rate == batch.acceptance_rate
         readings = batch.readings
         columns = [readings[:, 0], readings[:, 1], readings[:, 0] * readings[:, 1]]
@@ -337,7 +338,7 @@ def test_folded_moments_match_the_jackknife_of_the_readings(mixture, n):
 def test_one_meter_moments_have_no_pair_column():
     mix = one_meter_mixture(0.3)
     batch = sample_readings(mix, ReadoutPlan(("p",), 1000, 4))
-    (moment,) = SampleMoments.of(batch).columns
+    (moment,) = batch.columns
     value, stderr = jackknife_mean(batch.readings[:, 0])
     assert (moment.value, moment.stderr) == pytest.approx((value, stderr), rel=1e-12, abs=0)
 
